@@ -5,20 +5,31 @@ column offsets j in [-history, horizon], where column 0 is the current
 step, negative columns are the stored past, and positive columns hold the
 supplied predictions.  The history side is sized as horizon +
 core_history so that everything the carry values summarize was computed
-from actual samples; predicted values never survive into the past because
-every column >= 0 is recomputed from scratch each step.
+from actual samples.
+
+The table is updated incrementally.  A cell of row k at column j depends
+on samples up to absolute time i+j+horizon(k), where horizon(k) is the
+subformula's own future reach.  Left of column -horizon(k) that is at
+most i-1, so the cell read only actual samples and equals the previous
+step's column j+1: shifting carries it over unchanged.  Every cell that
+read a predicted sample lies at j >= -horizon(k) and is recomputed, so
+predicted values never survive into the past.
 
 Each step:
 
-1. for every unbounded-since row whose leftmost maintained column already
+1. check that the sample and the predictions give every variable the
+   formula reads a finite value; nothing changes before this passes, so
+   a rejected step leaves the monitor exactly as it was,
+2. for every unbounded-since row whose leftmost maintained column already
    holds a value, save that value into the row's carry slot (it is the
    running result of the recurrence one step further back),
-2. shift the atom rows one column to the left, dropping the oldest
+3. shift the whole table one column to the left, dropping the oldest
    column,
-3. recompute every row bottom-up (operands live at larger indices):
-   since rows left to right because their recurrence consumes the
-   previous column, everything else right to left,
-4. return the root row at column 0.
+4. recompute the columns [-horizon(k), horizon] of every row k bottom-up
+   (operands live at larger indices): since rows left to right because
+   their recurrence consumes the previous column, everything else right
+   to left,
+5. return the root row at column 0.
 
 Columns whose absolute time i+j is negative are undefined.  Reads that
 would land there resolve to the identity of the surrounding operation: a
@@ -32,7 +43,10 @@ finite prefix.
 Rows with large windows are filled through numpy kernels that compute the
 same max-of-min network data-parallel; small rows use plain loops.  The
 two paths produce bit-identical results (min/max select, they never
-round), and the per-step work stays quadratic in the window either way.
+round).  Row k costs (horizon(k) + horizon + 1) cells per step, each
+linear in the row's window: quadratic in the window for future rows
+(template E's root spans [-H, H]), linear for past-only specifications,
+whose rows recompute one cell each.
 """
 
 from __future__ import annotations
@@ -59,14 +73,15 @@ _VECTOR_WIDTH = 64    # elementwise rows go through numpy above this width
 
 
 class _Row:
-    __slots__ = ("kind", "left", "right", "lo", "up", "start", "pred", "unbounded", "vector", "dead")
+    __slots__ = ("kind", "left", "right", "lo", "up", "horizon", "start", "pred", "unbounded", "vector", "dead")
 
-    def __init__(self, kind, left, right, lo, up, start, pred, unbounded, vector, dead):
+    def __init__(self, kind, left, right, lo, up, horizon, start, pred, unbounded, vector, dead):
         self.kind = kind
         self.left = left
         self.right = right
         self.lo = lo
         self.up = up
+        self.horizon = horizon
         self.start = start
         self.pred = pred
         self.unbounded = unbounded
@@ -104,9 +119,10 @@ class Monitor:
         self.i = 0
         self._now = -1
         self._frontier: list[StateSample] = []
+        self._values: dict[str, list[float]] = {}
         self._var_cache: dict[str, np.ndarray] = {}
         self._rows = [self._plan(node, predicates) for node in formula.nodes]
-        self._atom_rows = [k for k, r in enumerate(self._rows) if r.kind == ATOM]
+        self._variables = sorted({r.pred.variable for r in self._rows if r.kind == ATOM})
         self._carry_rows = [k for k, r in enumerate(self._rows) if r.unbounded and not r.dead]
 
     def _plan(self, node, predicates) -> _Row:
@@ -125,7 +141,7 @@ class Monitor:
             vector = self.engine == "vector" or self.width * window >= _VECTOR_CELLS
         else:
             vector = self.engine == "vector" or self.width >= _VECTOR_WIDTH
-        return _Row(node.kind, node.left, node.right, lo, up, start, pred, unbounded, vector, dead)
+        return _Row(node.kind, node.left, node.right, lo, up, node.horizon, start, pred, unbounded, vector, dead)
 
     def step(self, sample: StateSample, predictions: Sequence[StateSample] = ()) -> Rho:
         """Consume the current sample plus horizon predicted samples and
@@ -136,9 +152,13 @@ class Monitor:
                 f"prediction length mismatch: formula horizon is {self.horizon}, "
                 f"got {len(predictions)} samples"
             )
+        frontier = [sample, *predictions]
+        values = self._checked_values(frontier)
+        # nothing above changes the monitor, so a rejected step leaves it as it was
         i = self.i
         self._now = i
-        self._frontier = [sample, *predictions]
+        self._frontier = frontier
+        self._values = values
         self._var_cache = {}
         T = self.table
         off = self.history
@@ -146,9 +166,7 @@ class Monitor:
             start = self._rows[k].start
             if i - 1 + start >= 0:
                 self.carry[k] = T[k, start + off]
-        if off > 0:
-            for k in self._atom_rows:
-                T[k, :off] = T[k, 1 : off + 1]
+        T[:, :off] = T[:, 1 : off + 1]
         for k in range(len(self._rows) - 1, -1, -1):
             self._fill_row(k)
         self.i = i + 1
@@ -171,7 +189,9 @@ class Monitor:
         row = self._rows[k]
         if row.dead:
             return
-        jlo = max(row.start, -self._now)
+        # columns left of -row.horizon read only actual samples, so the
+        # shift has already put their final values there
+        jlo = max(row.start, -self._now, -row.horizon)
         if jlo > self.horizon:
             return
         T = self.table
@@ -265,14 +285,27 @@ class Monitor:
             return undefined
         return float(self.table[row, j + self.history])
 
+    def _checked_values(self, frontier: Sequence[StateSample]) -> dict[str, list[float]]:
+        """Each variable the formula reads, over the frontier.  Rejects a
+        step whose samples lack such a variable or give it a value that is
+        not a finite number."""
+        values = {}
+        for var in self._variables:
+            try:
+                xs = [s.values[var] for s in frontier]
+            except KeyError:
+                at = next(s.time for s in frontier if var not in s.values)
+                raise KeyError(f"unknown variable {var!r} in sample at t={at}") from None
+            if not all(map(math.isfinite, xs)):
+                at = next(s.time for s, x in zip(frontier, xs) if not math.isfinite(x))
+                raise ValueError(f"non-finite value of variable {var!r} in sample at t={at}")
+            values[var] = xs
+        return values
+
     def _var_values(self, var: str) -> np.ndarray:
         arr = self._var_cache.get(var)
         if arr is None:
-            try:
-                arr = np.array([s.values[var] for s in self._frontier], dtype=float)
-            except KeyError:
-                raise KeyError(f"unknown variable {var!r} in input samples") from None
-            self._var_cache[var] = arr
+            arr = self._var_cache[var] = np.array(self._values[var], dtype=float)
         return arr
 
     def _fill_until_vector(self, k: int, row: _Row, jlo: int) -> None:

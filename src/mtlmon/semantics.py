@@ -1,10 +1,10 @@
 """Extended-real robustness values and signed-distance predicates.
 
 Robustness values live on the extended real line: ordinary floats plus
-+inf and -inf.  NaN is never a valid value; trace loading rejects it at
-the door.  Max and min over empty collections follow the lattice
-conventions (max of nothing is -inf, min of nothing is +inf), which is
-what makes empty temporal windows come out right.
++inf and -inf.  NaN is never a valid value; trace loading and
+`Monitor.step` reject it at the door.  Max and min over empty collections
+follow the lattice conventions (max of nothing is -inf, min of nothing is
++inf), which is what makes empty temporal windows come out right.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Trace loading, predictor strategies, and synthetic scenario traces.
 
-Trace CSV format: a ``time,var1,var2,...`` header, one row per sample,
-decimal values, ``#`` starting a comment line.  The sampling period is
-inferred from the first two rows and uniformity is enforced to a 1e-6
-relative tolerance; configuring it separately would just invite mismatch
-bugs.
+Trace CSV format: a ``time,var1,var2,...`` header of distinct names, one
+row per sample, decimal values, ``#`` starting a comment line.  The
+sampling period is inferred from the first two rows and uniformity is
+enforced to a 1e-6 relative tolerance; configuring it separately would
+just invite mismatch bugs.
 """
 
 from __future__ import annotations
@@ -53,44 +53,53 @@ class RunConfig:
 
 
 def load_trace(path: str) -> Trace:
-    """Load and validate a trace CSV."""
+    """Load and validate a trace CSV, parsing it one row at a time."""
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
-    reader = csv.reader(lines)
-    rows = list(reader)
-    if not rows:
-        raise TraceError("missing column: empty trace file")
-    header = [cell.strip() for cell in rows[0]]
-    if not header or header[0] != "time":
-        raise TraceError("missing column: header must start with 'time'")
-    variables = header[1:]
-    samples = []
-    for ridx, row in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise TraceError(f"missing column at row {ridx}: expected {len(header)} cells, got {len(row)}")
-        values = {}
-        parsed = []
-        for name, cell in zip(header, row):
+        reader = csv.reader(line for line in fh if (text := line.lstrip()) and text[0] != "#")
+        first = next(reader, None)
+        if first is None:
+            raise TraceError("missing column: empty trace file")
+        header = [cell.strip() for cell in first]
+        if not header or header[0] != "time":
+            raise TraceError("missing column: header must start with 'time'")
+        if len(set(header)) != len(header):
+            name = next(name for k, name in enumerate(header) if name in header[:k])
+            raise TraceError(f"duplicate column {name!r} in header")
+        variables = header[1:]
+        samples = []
+        delta_t = prev = None
+        for ridx, row in enumerate(reader):
+            if len(row) != len(header):
+                raise TraceError(f"missing column at row {ridx}: expected {len(header)} cells, got {len(row)}")
             try:
-                value = float(cell)
+                parsed = list(map(float, row))
             except ValueError:
-                raise TraceError(f"non-numeric value {cell.strip()!r} at row {ridx}, column {name!r}") from None
-            if not math.isfinite(value):
-                raise TraceError(f"non-numeric value {cell.strip()!r} at row {ridx}, column {name!r}")
-            parsed.append(value)
-        for name, value in zip(variables, parsed[1:]):
-            values[name] = value
-        samples.append(StateSample(values, parsed[0]))
-    delta_t = None
-    if len(samples) >= 2:
-        delta_t = samples[1].time - samples[0].time
-        if delta_t <= 0:
-            raise TraceError("non-uniform sampling at row 1: time stamps must increase")
-        tol = 1e-6 * delta_t
-        for k in range(2, len(samples)):
-            if abs(samples[k].time - samples[k - 1].time - delta_t) > tol:
-                raise TraceError(f"non-uniform sampling at row {k}")
+                raise _bad_cell(ridx, header, row) from None
+            if not all(map(math.isfinite, parsed)):
+                raise _bad_cell(ridx, header, row)
+            time = parsed[0]
+            if delta_t is not None:
+                if abs(time - prev - delta_t) > 1e-6 * delta_t:
+                    raise TraceError(f"non-uniform sampling at row {ridx}")
+            elif ridx == 1:
+                delta_t = time - prev
+                if delta_t <= 0:
+                    raise TraceError("non-uniform sampling at row 1: time stamps must increase")
+            prev = time
+            samples.append(StateSample(dict(zip(variables, parsed[1:])), time))
     return Trace(tuple(samples), delta_t)
+
+
+def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError:
+    """The error for the first cell of a row that is not a finite number."""
+    for name, cell in zip(header, row):
+        try:
+            finite = math.isfinite(float(cell))
+        except ValueError:
+            finite = False
+        if not finite:
+            return TraceError(f"non-numeric value {cell.strip()!r} at row {ridx}, column {name!r}")
+    raise AssertionError("row has no bad cell")
 
 
 def predict(mode: PredictorMode, trace: Trace, i: int, horizon: int) -> list[StateSample]:

@@ -80,6 +80,8 @@ def test_monitor_exit_codes(tmp_path):
     f.write_text("p")
     t.write_text("time,x\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # bad trace
+    t.write_text("time,x,x\n0.0,1.0,2.0\n")
+    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # duplicate column
     t.write_text("time,x\n0.0,1.0\n")
     assert main(monitor_args(f, p, tmp_path / "absent.csv", out, predictor="none")) == 1
     assert main(["monitor", "--formula", str(f)]) == 1  # missing required flags

@@ -15,7 +15,7 @@ from mtlmon import (
 from mtlmon.formula import SINCE, UNTIL
 from mtlmon.oracle import Trace
 
-from helpers import perfect_series, random_core_text, random_predicates, random_trace
+from helpers import contains_unbounded_since, perfect_series, random_core_text, random_predicates, random_trace
 
 INF = math.inf
 
@@ -241,3 +241,84 @@ def test_monitor_output_matches_oracle_smoke():
 
     expect = offline_robustness_series(f, preds, trace)
     assert outs == expect[: len(outs)]
+
+
+def test_rejected_step_leaves_monitor_unchanged():
+    f = compile_formula("prev p or (q and false)")
+    preds = {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)}
+    mon = Monitor(f, preds)
+    mon.step(StateSample({"x": 1.0, "y": 0.0}, 0.0))
+    before = (mon.table.tobytes(), mon.carry.tobytes(), mon.i)
+    with pytest.raises(KeyError, match="unknown variable 'y'"):
+        mon.step(StateSample({"x": 8.0}, 0.1))
+    for bad in (math.nan, INF):
+        with pytest.raises(ValueError, match="non-finite value"):
+            mon.step(StateSample({"x": bad, "y": 0.0}, 0.1))
+    assert (mon.table.tobytes(), mon.carry.tobytes(), mon.i) == before
+    assert mon.step(StateSample({"x": 3.0, "y": 0.0}, 0.1)) == 1.0
+
+
+def test_rejected_prediction_leaves_monitor_unchanged():
+    f = compile_formula("once[0,inf) p and eventually[0,2] p")
+    mon = Monitor(f, X_GE_0)
+    mon.step(x_sample(1.0), [x_sample(2.0), x_sample(3.0)])
+    before = (mon.table.tobytes(), mon.carry.tobytes(), mon.i)
+    with pytest.raises(ValueError, match="non-finite value"):
+        mon.step(x_sample(2.0), [x_sample(3.0), x_sample(math.nan)])
+    with pytest.raises(KeyError, match="unknown variable 'x'"):
+        mon.step(x_sample(2.0), [StateSample({"y": 3.0}), x_sample(4.0)])
+    assert (mon.table.tobytes(), mon.carry.tobytes(), mon.i) == before
+
+
+def test_step_ignores_variables_the_formula_does_not_read():
+    mon = Monitor(compile_formula("p"), X_GE_0)
+    assert mon.step(StateSample({"x": 2.0, "unused": math.nan})) == 2.0
+
+
+def held_prefix(trace, i, horizon):
+    """Samples 0..i followed by `horizon` held copies of sample i."""
+    held = tuple(StateSample(trace.samples[i].values, trace.samples[i].time + k * trace.delta_t)
+                 for k in range(1, horizon + 1))
+    return Trace(trace.samples[: i + 1] + held, trace.delta_t)
+
+
+def hold_cases(seed, count):
+    """Fuzzed formulas, some with unbounded since, each with a trace."""
+    rng = random.Random(seed)
+    while count:
+        f = compile_formula(random_core_text(rng, max_depth=3, max_bound=5))
+        if f.horizon > 12:
+            continue
+        preds = random_predicates(rng, f.atom_names)
+        trace = random_trace(rng, [p.variable for p in preds.values()], rng.randint(f.history + 2, f.history + 25))
+        count -= 1
+        yield f, preds, trace
+
+
+def test_hold_predictions_match_reference_on_held_prefix():
+    unbounded = 0
+    for f, preds, trace in hold_cases(59, 120):
+        unbounded += contains_unbounded_since(f)
+        for engine in ("plain", "vector"):
+            mon = Monitor(f, preds, engine=engine)
+            for i, sample in enumerate(trace.samples):
+                out = mon.step(sample, [sample] * f.horizon)
+                assert out == offline_robustness(f, preds, held_prefix(trace, i, f.horizon), i)
+    assert unbounded >= 20
+
+
+def test_cells_left_of_row_horizon_are_shifted_unchanged():
+    checked = 0
+    for f, preds, trace in hold_cases(61, 120):
+        mon = Monitor(f, preds)
+        off = mon.history
+        for i, sample in enumerate(trace.samples):
+            prev = mon.table.copy()
+            mon.step(sample, [sample] * f.horizon)
+            for k, node in enumerate(f.nodes):
+                for j in range(max(node.history - off, -i), -node.horizon):
+                    # final cell: carried over from the previous step and
+                    # equal to a recomputation from the operand rows
+                    assert mon.table[k, j + off] == prev[k, j + 1 + off] == mon.cr(k, j)
+                    checked += 1
+    assert checked > 10000

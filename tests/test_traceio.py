@@ -66,6 +66,15 @@ def test_load_rejects_missing_time_header(tmp_path):
         load_trace(path)
 
 
+def test_load_rejects_duplicate_columns(tmp_path):
+    path = write(tmp_path, "time,x,x\n0.0,1.0,2.0\n")
+    with pytest.raises(TraceError, match="duplicate column 'x'"):
+        load_trace(path)
+    path = write(tmp_path, "time,x,time\n0.0,1.0,2.0\n", name="t2.csv")
+    with pytest.raises(TraceError, match="duplicate column 'time'"):
+        load_trace(path)
+
+
 def test_load_single_row_has_no_period(tmp_path):
     path = write(tmp_path, "time,x\n0.0,1.0\n")
     trace = load_trace(path)
