@@ -85,6 +85,11 @@ def run_monitor(config: RunConfig) -> tuple[int, list[tuple[int, float, float]]]
     formula = desugar(tree)
     predicates = parse_predicates(Path(config.predicates_path).read_text(encoding="utf-8"))
     mon = Monitor(formula, predicates)
+    if trace.samples:
+        for name in sorted(formula.atom_names):
+            var = predicates[name].variable
+            if var not in trace.samples[0].values:
+                raise TraceError(f"trace has no column {var!r} (read by predicate {name!r})")
     if config.predictor is PredictorMode.PERFECT:
         last = len(trace.samples) - 1 - formula.horizon
     else:

@@ -20,9 +20,9 @@ Each step:
 1. check that the sample and the predictions give every variable the
    formula reads a finite value; nothing changes before this passes, so
    a rejected step leaves the monitor exactly as it was,
-2. for every unbounded-since row whose leftmost maintained column already
-   holds a value, save that value into the row's carry slot (it is the
-   running result of the recurrence one step further back),
+2. for every unbounded-since row, save its leftmost maintained column
+   into the row's carry slot (it is the running result of the recurrence
+   one step further back),
 3. shift the whole table one column to the left, dropping the oldest
    column,
 4. recompute the columns [-horizon(k), horizon] of every row k bottom-up
@@ -31,14 +31,16 @@ Each step:
    to left,
 5. return the root row at column 0.
 
-Columns whose absolute time i+j is negative are undefined.  Reads that
-would land there resolve to the identity of the surrounding operation: a
-since trigger read yields -inf (that window position does not exist, so
-its disjunct must vanish), a since left-operand read yields +inf (it only
-feeds already-vanished disjuncts), and the recurrence seed at "step -1"
-is -inf (a maximum over nothing).  Carry slots start at -inf for the same
-reason.  This makes warm-up steps agree exactly with evaluation on the
-finite prefix.
+The table starts at -inf, and cells whose absolute time i+j is negative
+are never written: the update starts at column -i or later, and the
+shift keeps every cell at its absolute time, so it only moves such cells
+into columns that are before the stream too.  Every read before the
+stream start therefore yields -inf, which is already the right value: a
+since trigger read makes its disjunct vanish (that window position does
+not exist), a since left-operand read only feeds disjuncts whose trigger
+lies before the stream as well, so they are -inf anyway, and a saved
+carry is -inf, the carry's own seed (a maximum over nothing).  This makes
+warm-up steps agree exactly with evaluation on the finite prefix.
 
 Rows with large windows are filled through numpy kernels that compute the
 same max-of-min network data-parallel; small rows use plain loops.  The
@@ -114,7 +116,7 @@ class Monitor:
         self.history = formula.history
         self.width = self.history + 1 + self.horizon
         self.engine = engine
-        self.table = np.full((len(formula.nodes), self.width), np.nan)
+        self.table = np.full((len(formula.nodes), self.width), NEG_INF)
         self.carry = np.full(len(formula.nodes), NEG_INF)
         self.i = 0
         self._now = -1
@@ -163,9 +165,7 @@ class Monitor:
         T = self.table
         off = self.history
         for k in self._carry_rows:
-            start = self._rows[k].start
-            if i - 1 + start >= 0:
-                self.carry[k] = T[k, start + off]
+            self.carry[k] = T[k, self._rows[k].start + off]
         T[:, :off] = T[:, 1 : off + 1]
         for k in range(len(self._rows) - 1, -1, -1):
             self._fill_row(k)
@@ -173,12 +173,13 @@ class Monitor:
         return float(T[0, off])
 
     def cell(self, k: int, j: int) -> Rho | None:
-        """Stored value of subformula k at column j, or None where the
-        column precedes the stream or history the row does not maintain."""
+        """Stored value of subformula k at column j, or None before the
+        first step, where the column precedes the stream or history the
+        row does not maintain."""
         if not -self.history <= j <= self.horizon:
             raise IndexError(f"column {j} outside [-{self.history}, {self.horizon}]")
         row = self._rows[k]
-        if row.dead or j < row.start or self._now + j < 0:
+        if row.dead or j < row.start or self.i == 0 or self._now + j < 0:
             return None
         return float(self.table[k, j + self.history])
 
@@ -232,7 +233,8 @@ class Monitor:
 
         One cell of the table update; exposed so single cells can be
         inspected and tested.  Only meaningful on columns the update would
-        visit (operand rows filled, absolute time i+j nonnegative).
+        visit (operand rows filled, absolute time i+j nonnegative); reads
+        before the stream start see the table's initial -inf.
         """
         row = self._rows[k]
         T = self.table
@@ -264,26 +266,18 @@ class Monitor:
         # since
         tmp = POS_INF
         for jp in range(j - lo + 1, j + 1):
-            tmp = min(tmp, self._past(m, jp, POS_INF))
+            tmp = min(tmp, float(T[m, jp + off]))
         if row.unbounded:
-            if j == row.start:
-                prev = float(self.carry[k])
-            else:
-                prev = self._past(k, j - 1, NEG_INF)
+            prev = float(self.carry[k] if j == row.start else T[k, j - 1 + off])
             head = min(prev, float(T[m, j + off]))
-            return max(min(self._past(n, j - lo, NEG_INF), tmp), head)
+            return max(min(float(T[n, j - lo + off]), tmp), head)
         up = int(row.up)
         acc = NEG_INF
         for jp in range(j - lo, j - up - 1, -1):
-            acc = max(acc, min(tmp, self._past(n, jp, NEG_INF)))
+            acc = max(acc, min(tmp, float(T[n, jp + off])))
             if jp > j - up:  # the extension after the last disjunct is unused
-                tmp = min(tmp, self._past(m, jp, POS_INF))
+                tmp = min(tmp, float(T[m, jp + off]))
         return acc
-
-    def _past(self, row: int, j: int, undefined: Rho) -> Rho:
-        if self._now + j < 0:
-            return undefined
-        return float(self.table[row, j + self.history])
 
     def _checked_values(self, frontier: Sequence[StateSample]) -> dict[str, list[float]]:
         """Each variable the formula reads, over the frontier.  Rejects a
@@ -332,7 +326,6 @@ class Monitor:
         T = self.table
         off = self.history
         hrz = self.horizon
-        i = self._now
         m, n, lo = row.left, row.right, row.lo
         up = int(row.up)
         count = hrz - jlo + 1
@@ -340,14 +333,9 @@ class Monitor:
         if up == 0:
             np.copyto(T[k, a:], T[n, a:])
             return
-        # mirror the window into the shared forward kernel; reads from
-        # before the stream start take the same identities as in cr()
-        xm = np.arange(hrz, jlo - up, -1)
-        base_m = T[m, (jlo - up + 1) + off : hrz + off + 1][::-1]
-        fm = np.where(xm < -i, POS_INF, base_m)
-        xn = np.arange(hrz - lo, jlo - up - 1, -1)
-        base_n = T[n, (jlo - up) + off : (hrz - lo) + off + 1][::-1]
-        fn = np.where(xn < -i, NEG_INF, base_n)
+        # mirror the window into the shared forward kernel
+        fm = T[m, (jlo - up + 1) + off : hrz + off + 1][::-1]
+        fn = T[n, (jlo - up) + off : (hrz - lo) + off + 1][::-1]
         T[k, a:] = _max_min_window(fm, fn, lo, up, count)[::-1]
 
 

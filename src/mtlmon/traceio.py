@@ -67,7 +67,6 @@ def load_trace(path: str) -> Trace:
             raise TraceError(f"duplicate column {name!r} in header")
         variables = header[1:]
         samples = []
-        delta_t = prev = None
         for ridx, row in enumerate(reader):
             if len(row) != len(header):
                 raise TraceError(f"missing column at row {ridx}: expected {len(header)} cells, got {len(row)}")
@@ -77,17 +76,14 @@ def load_trace(path: str) -> Trace:
                 raise _bad_cell(ridx, header, row) from None
             if not all(map(math.isfinite, parsed)):
                 raise _bad_cell(ridx, header, row)
-            time = parsed[0]
-            if delta_t is not None:
-                if abs(time - prev - delta_t) > 1e-6 * delta_t:
-                    raise TraceError(f"non-uniform sampling at row {ridx}")
-            elif ridx == 1:
-                delta_t = time - prev
-                if delta_t <= 0:
-                    raise TraceError("non-uniform sampling at row 1: time stamps must increase")
-            prev = time
-            samples.append(StateSample(dict(zip(variables, parsed[1:])), time))
-    return Trace(tuple(samples), delta_t)
+            samples.append(StateSample(dict(zip(variables, parsed[1:])), parsed[0]))
+    delta_t = samples[1].time - samples[0].time if len(samples) > 1 else None
+    if delta_t is not None and delta_t <= 0:
+        raise TraceError("non-uniform sampling at row 1: time stamps must increase")
+    try:
+        return Trace(tuple(samples), delta_t)
+    except ValueError as exc:  # Trace checks the spacing of every row
+        raise TraceError(str(exc)) from None
 
 
 def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError:

@@ -82,6 +82,10 @@ def test_monitor_exit_codes(tmp_path):
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # bad trace
     t.write_text("time,x,x\n0.0,1.0,2.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # duplicate column
+    p.write_text("p : y >= 0\n")
+    t.write_text("time,x\n0.0,1.0\n")
+    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # no column the predicate reads
+    p.write_text("p : x >= 0\n")
     t.write_text("time,x\n0.0,1.0\n")
     assert main(monitor_args(f, p, tmp_path / "absent.csv", out, predictor="none")) == 1
     assert main(["monitor", "--formula", str(f)]) == 1  # missing required flags

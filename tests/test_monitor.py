@@ -3,6 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from mtlmon import (
     Monitor,
@@ -58,7 +61,8 @@ def test_init_rejects_unbound_atoms():
 def test_init_all_cells_undefined():
     f = compile_formula("eventually[0,2] p")
     mon = Monitor(f, X_GE_0)
-    assert np.isnan(mon.table).all()
+    assert all(mon.cell(k, j) is None for k in range(len(f.nodes)) for j in range(-f.history, f.horizon + 1))
+    assert (mon.table == -INF).all()
     assert (mon.carry == -INF).all()
     assert mon.i == 0
 
@@ -322,3 +326,68 @@ def test_cells_left_of_row_horizon_are_shifted_unchanged():
                     assert mon.table[k, j + off] == prev[k, j + 1 + off] == mon.cr(k, j)
                     checked += 1
     assert checked > 10000
+
+
+VALUES = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
+
+
+class InterleavedSteps(RuleBasedStateMachine):
+    """Valid steps mixed with rejected ones under held predictions: every
+    output equals the reference on the valid steps alone, and a rejected
+    step leaves the table, the carry slots and the step counter as they
+    were."""
+
+    @initialize(seed=st.integers(0, 2**16), engine=st.sampled_from(("auto", "plain", "vector")))
+    def build(self, seed, engine):
+        rng = random.Random(seed)
+        f = compile_formula(random_core_text(rng, max_depth=3, max_bound=4))
+        while not f.atom_names or f.horizon > 6:
+            f = compile_formula(random_core_text(rng, max_depth=3, max_bound=4))
+        self.formula = f
+        self.preds = random_predicates(rng, f.atom_names)
+        self.variables = sorted({p.variable for p in self.preds.values()})
+        self.mon = Monitor(f, self.preds, engine=engine)
+        self.samples = []
+
+    def frontier(self, values):
+        sample = StateSample(dict(zip(self.variables, values)), len(self.samples) * 0.1)
+        return [sample] * (1 + self.formula.horizon)
+
+    def state(self):
+        return self.mon.table.tobytes(), self.mon.carry.tobytes(), self.mon.i
+
+    @rule(values=VALUES)
+    def valid_step(self, values):
+        sample, *ahead = self.frontier(values)
+        out = self.mon.step(sample, ahead)
+        self.samples.append(sample)
+        i = len(self.samples) - 1
+        held = held_prefix(Trace(tuple(self.samples), 0.1), i, self.formula.horizon)
+        assert out == offline_robustness(self.formula, self.preds, held, i)
+
+    @rule(values=VALUES, fault=st.sampled_from(("missing", "nan", "inf", "length")),
+          var=st.integers(0, 2), at=st.integers(0, 6))
+    def rejected_step(self, values, fault, var, at):
+        frontier = self.frontier(values)
+        if fault == "length":
+            frontier.append(frontier[0])
+            error = ValueError
+        else:
+            name = self.variables[var % len(self.variables)]
+            at %= len(frontier)
+            bad = dict(frontier[at].values)
+            if fault == "missing":
+                del bad[name]
+                error = KeyError
+            else:
+                bad[name] = math.nan if fault == "nan" else INF
+                error = ValueError
+            frontier[at] = StateSample(bad, frontier[at].time)
+        before = self.state()
+        with pytest.raises(error):
+            self.mon.step(frontier[0], frontier[1:])
+        assert self.state() == before
+
+
+TestInterleavedSteps = InterleavedSteps.TestCase
+TestInterleavedSteps.settings = settings(max_examples=100, stateful_step_count=25, deadline=None)
