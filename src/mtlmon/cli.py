@@ -109,12 +109,18 @@ def run_monitor(config: RunConfig) -> tuple[int, list[tuple[int, float, float]]]
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Per-step timing of the monitor on one benchmark specification."""
+    """Per-step timing of the monitor on one benchmark specification.
+
+    warmup_steps counts the timed steps whose index is below the formula's
+    stored history: on those the table is still filling, so they cost less
+    than a steady step.
+    """
 
     kind: str
     n: int
     horizon: int
     steps: int
+    warmup_steps: int
     mean_ms: float
     variance_ms2: float
 
@@ -187,7 +193,8 @@ def run_bench(kind: str, n: int, horizon: int, steps: int, seed: int = 0) -> Ben
         laps.append(time.perf_counter() - begin)
     mean_ms = statistics.fmean(laps) * 1e3
     variance_ms2 = statistics.variance(laps) * 1e6
-    return BenchReport(kind, n, horizon, steps, mean_ms, variance_ms2)
+    warmup_steps = min(steps, max(0, formula.history - _WARMUP_STEPS))
+    return BenchReport(kind, n, horizon, steps, warmup_steps, mean_ms, variance_ms2)
 
 
 def run_bench_sweep(
@@ -292,7 +299,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for r in reports:
         print(
             f"template={r.kind} n={r.n} H={r.horizon} steps={r.steps} "
-            f"mean_ms={r.mean_ms:.3f} variance_ms2={r.variance_ms2:.6f}"
+            f"warmup_steps={r.warmup_steps} mean_ms={r.mean_ms:.3f} variance_ms2={r.variance_ms2:.6f}"
         )
     if slope is not None:
         print(f"log-log slope: {slope:.3f}")

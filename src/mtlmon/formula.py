@@ -135,8 +135,12 @@ class Formula:
 
     @property
     def history(self) -> int:
-        """Stored history: widened by the horizon so carried values only
-        ever summarize actual (non-predicted) samples."""
+        """Stored history: the root's history widened by its horizon.
+
+        Every row k then keeps cells left of -horizon(k), which read only
+        actual samples, and an unbounded since restarts its recurrence from
+        there each step, so its running value never includes a prediction.
+        """
         return self.nodes[0].horizon + self.nodes[0].history
 
 

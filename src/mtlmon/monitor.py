@@ -3,9 +3,12 @@
 The monitor keeps one row per compiled subformula over a fixed window of
 column offsets j in [-history, horizon], where column 0 is the current
 step, negative columns are the stored past, and positive columns hold the
-supplied predictions.  The history side is sized as horizon +
-core_history so that everything the carry values summarize was computed
-from actual samples.
+supplied predictions.  One more column, -history-1, sits left of the
+window.  An unbounded since keeps the running value of its recurrence
+(the paper's Pre) in the table: each step it restarts from the cell left
+of the first column it recomputes, which the shift has filled with a
+final value, in that extra column when the row starts at -history.  For
+why the history side is widened by the horizon, see Formula.history.
 
 The table is updated incrementally.  A cell of row k at column j depends
 on samples up to absolute time i+j+horizon(k), where horizon(k) is the
@@ -20,16 +23,13 @@ Each step:
 1. check that the sample and the predictions give every variable the
    formula reads a finite value; nothing changes before this passes, so
    a rejected step leaves the monitor exactly as it was,
-2. for every unbounded-since row, save its leftmost maintained column
-   into the row's carry slot (it is the running result of the recurrence
-   one step further back),
-3. shift the whole table one column to the left, dropping the oldest
+2. shift the whole table one column to the left, dropping the oldest
    column,
-4. recompute the columns [-horizon(k), horizon] of every row k bottom-up
+3. recompute the columns [-horizon(k), horizon] of every row k bottom-up
    (operands live at larger indices): since rows left to right because
    their recurrence consumes the previous column, everything else right
    to left,
-5. return the root row at column 0.
+4. return the root row at column 0.
 
 The table starts at -inf, and cells whose absolute time i+j is negative
 are never written: the update starts at column -i or later, and the
@@ -38,9 +38,10 @@ into columns that are before the stream too.  Every read before the
 stream start therefore yields -inf, which is already the right value: a
 since trigger read makes its disjunct vanish (that window position does
 not exist), a since left-operand read only feeds disjuncts whose trigger
-lies before the stream as well, so they are -inf anyway, and a saved
-carry is -inf, the carry's own seed (a maximum over nothing).  This makes
-warm-up steps agree exactly with evaluation on the finite prefix.
+lies before the stream as well, so they are -inf anyway, and an
+unbounded since's running value is -inf, its own seed (a maximum over
+nothing).  This makes warm-up steps agree exactly with evaluation on the
+finite prefix.
 
 Rows with large windows are filled through numpy kernels that compute the
 same max-of-min network data-parallel; small rows use plain loops.  The
@@ -75,9 +76,9 @@ _VECTOR_WIDTH = 64    # elementwise rows go through numpy above this width
 
 
 class _Row:
-    __slots__ = ("kind", "left", "right", "lo", "up", "horizon", "start", "pred", "unbounded", "vector", "dead")
+    __slots__ = ("kind", "left", "right", "lo", "up", "horizon", "start", "pred", "unbounded", "vector")
 
-    def __init__(self, kind, left, right, lo, up, horizon, start, pred, unbounded, vector, dead):
+    def __init__(self, kind, left, right, lo, up, horizon, start, pred, unbounded, vector):
         self.kind = kind
         self.left = left
         self.right = right
@@ -88,14 +89,14 @@ class _Row:
         self.pred = pred
         self.unbounded = unbounded
         self.vector = vector
-        self.dead = dead
 
 
 class Monitor:
     """Streaming evaluator for one compiled formula over one sample stream.
 
-    Storage is fixed at construction: a node-count by (history+1+horizon)
-    table plus one carry value per row; it never grows with the stream.
+    Storage is fixed at construction: a node-count by (history+2+horizon)
+    table, the window plus the column left of it; it never grows with the
+    stream.  Column j of row k is table[k, j + history + 1].
     step() is single-writer: do not call it concurrently on the same
     instance.  Independent monitors are fully isolated.
     """
@@ -116,23 +117,19 @@ class Monitor:
         self.history = formula.history
         self.width = self.history + 1 + self.horizon
         self.engine = engine
-        self.table = np.full((len(formula.nodes), self.width), NEG_INF)
-        self.carry = np.full(len(formula.nodes), NEG_INF)
+        self.table = np.full((len(formula.nodes), self.width + 1), NEG_INF)
         self.i = 0
-        self._now = -1
         self._frontier: list[StateSample] = []
         self._values: dict[str, list[float]] = {}
         self._var_cache: dict[str, np.ndarray] = {}
         self._rows = [self._plan(node, predicates) for node in formula.nodes]
         self._variables = sorted({r.pred.variable for r in self._rows if r.kind == ATOM})
-        self._carry_rows = [k for k, r in enumerate(self._rows) if r.unbounded and not r.dead]
 
     def _plan(self, node, predicates) -> _Row:
         lo = node.interval.lower if node.interval is not None else 0
         up = node.interval.upper if node.interval is not None else 0
         unbounded = node.kind == SINCE and up == math.inf
         start = node.history - self.history
-        dead = start > self.horizon
         pred = predicates[node.name] if node.kind == ATOM else None
         if self.engine == "plain":
             vector = False
@@ -143,7 +140,7 @@ class Monitor:
             vector = self.engine == "vector" or self.width * window >= _VECTOR_CELLS
         else:
             vector = self.engine == "vector" or self.width >= _VECTOR_WIDTH
-        return _Row(node.kind, node.left, node.right, lo, up, node.horizon, start, pred, unbounded, vector, dead)
+        return _Row(node.kind, node.left, node.right, lo, up, node.horizon, start, pred, unbounded, vector)
 
     def step(self, sample: StateSample, predictions: Sequence[StateSample] = ()) -> Rho:
         """Consume the current sample plus horizon predicted samples and
@@ -157,19 +154,15 @@ class Monitor:
         frontier = [sample, *predictions]
         values = self._checked_values(frontier)
         # nothing above changes the monitor, so a rejected step leaves it as it was
-        i = self.i
-        self._now = i
+        self.i += 1
         self._frontier = frontier
         self._values = values
         self._var_cache = {}
         T = self.table
-        off = self.history
-        for k in self._carry_rows:
-            self.carry[k] = T[k, self._rows[k].start + off]
+        off = self.history + 1
         T[:, :off] = T[:, 1 : off + 1]
         for k in range(len(self._rows) - 1, -1, -1):
             self._fill_row(k)
-        self.i = i + 1
         return float(T[0, off])
 
     def cell(self, k: int, j: int) -> Rho | None:
@@ -179,24 +172,22 @@ class Monitor:
         if not -self.history <= j <= self.horizon:
             raise IndexError(f"column {j} outside [-{self.history}, {self.horizon}]")
         row = self._rows[k]
-        if row.dead or j < row.start or self.i == 0 or self._now + j < 0:
+        if j < row.start or self.i == 0 or self.i - 1 + j < 0:
             return None
-        return float(self.table[k, j + self.history])
+        return float(self.table[k, j + self.history + 1])
 
     # ------------------------------------------------------------------
     # Row updates
 
     def _fill_row(self, k: int) -> None:
         row = self._rows[k]
-        if row.dead:
-            return
         # columns left of -row.horizon read only actual samples, so the
         # shift has already put their final values there
-        jlo = max(row.start, -self._now, -row.horizon)
+        jlo = max(row.start, 1 - self.i, -row.horizon)
         if jlo > self.horizon:
             return
         T = self.table
-        off = self.history
+        off = self.history + 1
         if row.kind == ATOM:
             if row.vector:
                 xs = self._var_values(row.pred.variable)
@@ -238,7 +229,7 @@ class Monitor:
         """
         row = self._rows[k]
         T = self.table
-        off = self.history
+        off = self.history + 1
         kind = row.kind
         if kind == TRUE:
             return POS_INF
@@ -268,7 +259,7 @@ class Monitor:
         for jp in range(j - lo + 1, j + 1):
             tmp = min(tmp, float(T[m, jp + off]))
         if row.unbounded:
-            prev = float(self.carry[k] if j == row.start else T[k, j - 1 + off])
+            prev = float(T[k, j - 1 + off])
             head = min(prev, float(T[m, j + off]))
             return max(min(float(T[n, j - lo + off]), tmp), head)
         up = int(row.up)
@@ -304,7 +295,7 @@ class Monitor:
 
     def _fill_until_vector(self, k: int, row: _Row, jlo: int) -> None:
         T = self.table
-        off = self.history
+        off = self.history + 1
         hrz = self.horizon
         m, n, lo = row.left, row.right, row.lo
         up = int(row.up)
@@ -324,7 +315,7 @@ class Monitor:
 
     def _fill_since_vector(self, k: int, row: _Row, jlo: int) -> None:
         T = self.table
-        off = self.history
+        off = self.history + 1
         hrz = self.horizon
         m, n, lo = row.left, row.right, row.lo
         up = int(row.up)

@@ -1,7 +1,7 @@
 """Reference evaluation of robustness and classical truth over whole traces.
 
 This module recomputes values directly from the defining semantics, with
-no incremental state, no table, and no carry values.  It exists as ground
+no incremental state, no table, and no running values.  It exists as ground
 truth for testing the streaming monitor, so it deliberately shares nothing
 with the monitor beyond the value domain and signed distances.  Windows
 that run past the end of the supplied trace are truncated, and past

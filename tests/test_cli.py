@@ -177,6 +177,13 @@ def test_run_bench_reports_statistics():
     assert report.variance_ms2 >= 0
 
 
+def test_run_bench_counts_warmup_steps():
+    # 10 untimed steps come first; with H=60 all 30 timed steps (indices
+    # 10..39) precede the history of 60, with H=20 only indices 10..19 do
+    assert run_bench("E", 1, 60, 30).warmup_steps == 30
+    assert run_bench("E", 1, 20, 30).warmup_steps == 10
+
+
 def test_run_bench_nesting_impact_is_modest():
     # at a fixed window, deep nesting must cost far less than another
     # factor of the window would

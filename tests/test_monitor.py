@@ -14,6 +14,7 @@ from mtlmon import (
     StateSample,
     compile_formula,
     offline_robustness,
+    offline_robustness_series,
 )
 from mtlmon.formula import SINCE, UNTIL
 from mtlmon.oracle import Trace
@@ -35,14 +36,13 @@ def test_init_worked_example_dimensions():
     f = compile_formula("historically[0,inf) p and always[1,2] q")
     mon = Monitor(f, {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)})
     assert mon.width == 5
-    assert mon.table.shape == (9, 5)
-    assert mon.carry.shape == (9,)
+    assert mon.table.shape == (9, 6)
 
 
 def test_init_single_atom_dimensions():
     mon = Monitor(compile_formula("p"), X_GE_0)
     assert mon.width == 1
-    assert mon.table.shape == (1, 1)
+    assert mon.table.shape == (1, 2)
 
 
 def test_init_eventually_dimensions():
@@ -63,7 +63,6 @@ def test_init_all_cells_undefined():
     mon = Monitor(f, X_GE_0)
     assert all(mon.cell(k, j) is None for k in range(len(f.nodes)) for j in range(-f.history, f.horizon + 1))
     assert (mon.table == -INF).all()
-    assert (mon.carry == -INF).all()
     assert mon.i == 0
 
 
@@ -131,26 +130,28 @@ def test_cr_always_row_truncated_window():
     assert mon.cr(0, 1) == 7.0
 
 
-def test_cr_unbounded_since_uses_carry_at_its_leftmost_column():
+def test_cr_unbounded_since_reads_table_index_0_at_its_leftmost_column():
     f = compile_formula("historically[0,inf) p")
     mon = Monitor(f, X_GE_0)
     since_row = next(k for k, n in enumerate(f.nodes) if n.kind == SINCE)
     mon.step(x_sample(3.0))
     mon.step(x_sample(5.0))
     start = mon.formula.nodes[since_row].history - mon.history
-    # the recurrence at the leftmost maintained column reads the carry slot
-    assert mon.cr(since_row, start) == max(-5.0, float(mon.carry[since_row]))
-    mon.carry[since_row] = 123.0
+    assert start == -mon.history
+    # the recurrence at the leftmost maintained column reads the column
+    # left of the window
+    assert mon.cr(since_row, start) == max(-5.0, float(mon.table[since_row, 0]))
+    mon.table[since_row, 0] = 123.0
     assert mon.cr(since_row, start) == 123.0
 
 
-def test_carry_saved_from_previous_step():
+def test_previous_running_value_shifted_into_table_index_0():
     f = compile_formula("once[0,inf) q")
     mon = Monitor(f, Y_GE_4)
     mon.step(StateSample({"y": 9.0}, 0.0))
-    assert float(mon.carry[0]) == -INF  # nothing defined before the first step
+    assert float(mon.table[0, 0]) == -INF  # nothing defined before the first step
     mon.step(StateSample({"y": 1.0}, 0.1))
-    assert float(mon.carry[0]) == 5.0  # previous step's running max
+    assert float(mon.table[0, 0]) == 5.0  # previous step's running max
 
 
 def test_cell_reports_undefined_during_warmup():
@@ -180,12 +181,10 @@ def test_storage_never_grows():
     f = compile_formula("once[0,inf) q and historically[0,3] q")
     mon = Monitor(f, Y_GE_4)
     shape = mon.table.shape
-    carry_len = len(mon.carry)
     rng = random.Random(0)
     for k in range(500):
         mon.step(StateSample({"y": rng.uniform(-5, 5)}, k * 0.1))
     assert mon.table.shape == shape
-    assert len(mon.carry) == carry_len
 
 
 def test_engines_agree_cell_for_cell():
@@ -229,6 +228,23 @@ def test_defined_cells_match_reference_per_subformula():
     assert checked > 2000
 
 
+def test_dead_row_is_never_filled_or_reported():
+    # the S[0,0] root never reads its left operand, whose maintained
+    # columns would start at 1, past the horizon 0
+    f = compile_formula("(p S[1,inf) q) S[0,0] r")
+    dead = next(k for k, n in enumerate(f.nodes) if n.kind == SINCE and n.interval.upper == INF)
+    assert f.nodes[dead].history - f.history > f.horizon
+    rng = random.Random(67)
+    preds = random_predicates(rng, f.atom_names)
+    trace = random_trace(rng, sorted({p.variable for p in preds.values()}), 40)
+    mon = Monitor(f, preds)
+    outs = []
+    for sample in trace.samples:
+        outs.append(mon.step(sample))
+        assert all(mon.cell(dead, j) is None for j in range(-f.history, f.horizon + 1))
+    assert outs == offline_robustness_series(f, preds, trace)
+
+
 def test_single_sample_stream():
     f = compile_formula("p and once[0,inf) p")
     mon = Monitor(f, X_GE_0)
@@ -241,8 +257,6 @@ def test_monitor_output_matches_oracle_smoke():
     preds = random_predicates(rng, f.atom_names)
     trace = random_trace(rng, [p.variable for p in preds.values()], 20)
     outs, _ = perfect_series(f, preds, trace)
-    from mtlmon import offline_robustness_series
-
     expect = offline_robustness_series(f, preds, trace)
     assert outs == expect[: len(outs)]
 
@@ -252,13 +266,13 @@ def test_rejected_step_leaves_monitor_unchanged():
     preds = {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)}
     mon = Monitor(f, preds)
     mon.step(StateSample({"x": 1.0, "y": 0.0}, 0.0))
-    before = (mon.table.tobytes(), mon.carry.tobytes(), mon.i)
+    before = (mon.table.tobytes(), mon.i)
     with pytest.raises(KeyError, match="unknown variable 'y'"):
         mon.step(StateSample({"x": 8.0}, 0.1))
     for bad in (math.nan, INF):
         with pytest.raises(ValueError, match="non-finite value"):
             mon.step(StateSample({"x": bad, "y": 0.0}, 0.1))
-    assert (mon.table.tobytes(), mon.carry.tobytes(), mon.i) == before
+    assert (mon.table.tobytes(), mon.i) == before
     assert mon.step(StateSample({"x": 3.0, "y": 0.0}, 0.1)) == 1.0
 
 
@@ -266,12 +280,12 @@ def test_rejected_prediction_leaves_monitor_unchanged():
     f = compile_formula("once[0,inf) p and eventually[0,2] p")
     mon = Monitor(f, X_GE_0)
     mon.step(x_sample(1.0), [x_sample(2.0), x_sample(3.0)])
-    before = (mon.table.tobytes(), mon.carry.tobytes(), mon.i)
+    before = (mon.table.tobytes(), mon.i)
     with pytest.raises(ValueError, match="non-finite value"):
         mon.step(x_sample(2.0), [x_sample(3.0), x_sample(math.nan)])
     with pytest.raises(KeyError, match="unknown variable 'x'"):
         mon.step(x_sample(2.0), [StateSample({"y": 3.0}), x_sample(4.0)])
-    assert (mon.table.tobytes(), mon.carry.tobytes(), mon.i) == before
+    assert (mon.table.tobytes(), mon.i) == before
 
 
 def test_step_ignores_variables_the_formula_does_not_read():
@@ -315,15 +329,15 @@ def test_cells_left_of_row_horizon_are_shifted_unchanged():
     checked = 0
     for f, preds, trace in hold_cases(61, 120):
         mon = Monitor(f, preds)
-        off = mon.history
+        h = mon.history
         for i, sample in enumerate(trace.samples):
             prev = mon.table.copy()
             mon.step(sample, [sample] * f.horizon)
             for k, node in enumerate(f.nodes):
-                for j in range(max(node.history - off, -i), -node.horizon):
+                for j in range(max(node.history - h, -i), -node.horizon):
                     # final cell: carried over from the previous step and
                     # equal to a recomputation from the operand rows
-                    assert mon.table[k, j + off] == prev[k, j + 1 + off] == mon.cr(k, j)
+                    assert mon.table[k, j + h + 1] == prev[k, j + h + 2] == mon.cr(k, j)
                     checked += 1
     assert checked > 10000
 
@@ -334,8 +348,7 @@ VALUES = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
 class InterleavedSteps(RuleBasedStateMachine):
     """Valid steps mixed with rejected ones under held predictions: every
     output equals the reference on the valid steps alone, and a rejected
-    step leaves the table, the carry slots and the step counter as they
-    were."""
+    step leaves the table and the step counter as they were."""
 
     @initialize(seed=st.integers(0, 2**16), engine=st.sampled_from(("auto", "plain", "vector")))
     def build(self, seed, engine):
@@ -354,7 +367,7 @@ class InterleavedSteps(RuleBasedStateMachine):
         return [sample] * (1 + self.formula.horizon)
 
     def state(self):
-        return self.mon.table.tobytes(), self.mon.carry.tobytes(), self.mon.i
+        return self.mon.table.tobytes(), self.mon.i
 
     @rule(values=VALUES)
     def valid_step(self, values):
