@@ -57,9 +57,9 @@ class Predicate:
     Its robustness at a sample is the signed distance from the variable's
     value to the closed set [lo, hi]: positive inside, negative outside,
     zero exactly on the boundary.  One of the bounds may be infinite,
-    giving the half-line forms ``variable <= hi`` and ``variable >= lo``.
-    `gain` scales the distance, so predicates can be weighted without
-    rewriting traces.
+    giving the half-line forms ``variable <= hi`` and ``variable >= lo``;
+    the other must be finite.  `gain`, finite and positive, scales the
+    distance, so predicates can be weighted without rewriting traces.
     """
 
     name: str
@@ -75,8 +75,12 @@ class Predicate:
             raise PredicateError(f"{self.name}: empty set, {self.lo} > {self.hi}")
         if self.lo == NEG_INF and self.hi == POS_INF:
             raise PredicateError(f"{self.name}: set must be bounded on at least one side")
-        if not self.gain > 0:
-            raise PredicateError(f"{self.name}: gain must be positive")
+        if self.lo == POS_INF or self.hi == NEG_INF:
+            # no finite sample reaches the set, and its distances are all -inf
+            raise PredicateError(f"{self.name}: bound must be finite on its bounded side")
+        if not (self.gain > 0 and math.isfinite(self.gain)):
+            # an infinite gain times a zero distance is NaN
+            raise PredicateError(f"{self.name}: gain must be finite and positive")
 
 
 def signed_distance(sample: StateSample, predicate: Predicate) -> Rho:
@@ -118,13 +122,16 @@ def parse_predicates(text: str) -> dict[str, Predicate]:
             raise PredicateError(f"line {lineno}: bad predicate name {name!r}")
         if name in out:
             raise PredicateError(f"line {lineno}: duplicate predicate {name!r}")
-        if m := _AT_MOST.match(body):
-            pred = Predicate(name, m.group(1), hi=float(m.group(2)))
-        elif m := _AT_LEAST.match(body):
-            pred = Predicate(name, m.group(1), lo=float(m.group(2)))
-        elif m := _BETWEEN.match(body):
-            pred = Predicate(name, m.group(2), lo=float(m.group(1)), hi=float(m.group(3)))
-        else:
-            raise PredicateError(f"line {lineno}: cannot parse constraint {body!r}")
+        try:
+            if m := _AT_MOST.match(body):
+                pred = Predicate(name, m.group(1), hi=float(m.group(2)))
+            elif m := _AT_LEAST.match(body):
+                pred = Predicate(name, m.group(1), lo=float(m.group(2)))
+            elif m := _BETWEEN.match(body):
+                pred = Predicate(name, m.group(2), lo=float(m.group(1)), hi=float(m.group(3)))
+            else:
+                raise PredicateError(f"cannot parse constraint {body!r}")
+        except PredicateError as exc:  # Predicate's own checks, e.g. x >= 1e400
+            raise PredicateError(f"line {lineno}: {exc}") from None
         out[name] = pred
     return out

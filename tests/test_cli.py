@@ -78,6 +78,9 @@ def test_monitor_exit_codes(tmp_path):
     f.write_text("q")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 4  # unbound atom
     f.write_text("p")
+    p.write_text("p : x >= 1e400\n")
+    assert main(monitor_args(f, p, t, out, predictor="none")) == 4  # bound overflows to inf
+    p.write_text("p : x >= 0\n")
     t.write_text("time,x\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # bad trace
     t.write_text("time,x,x\n0.0,1.0,2.0\n")

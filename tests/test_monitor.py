@@ -16,6 +16,7 @@ from mtlmon import (
     offline_robustness,
     offline_robustness_series,
 )
+from mtlmon import monitor as monitor_module
 from mtlmon.formula import SINCE, UNTIL
 from mtlmon.oracle import Trace
 
@@ -203,6 +204,38 @@ def test_engines_agree_cell_for_cell():
             out_v = vector.step(trace.samples[i], ahead)
             assert out_p == out_v
             assert np.array_equal(plain.table, vector.table, equal_nan=True)
+
+
+@pytest.mark.parametrize("block", [3, 8])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a until[0,5] b",  # lo = 0, count 11 > window 6
+        "a until[2,5] b",  # 0 < lo < up
+        "a until[3,3] b",  # lo = up
+        "a since[0,5] b",  # count 1
+        "a since[2,5] b",
+        "a since[4,4] b",
+        "eventually[0,9] (a since[0,3] b)",  # since rows with count 10 > window 4
+        "eventually[0,9] (a since[1,3] b)",
+        "eventually[0,9] (a since[3,3] b)",
+    ],
+)
+def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
+    # _BLOCK elements per running-minimum block: with 3 or 8, an update of
+    # more than two cells spans several blocks, which the 1 << 20 default
+    # never does at the bounds of the other tests
+    monkeypatch.setattr(monitor_module, "_BLOCK", block)
+    rng = random.Random(block)
+    f = compile_formula(text)
+    preds = random_predicates(rng, f.atom_names)
+    trace = random_trace(rng, sorted({p.variable for p in preds.values()}), f.history + f.horizon + 12)
+    plain = Monitor(f, preds, engine="plain")
+    vector = Monitor(f, preds, engine="vector")
+    for i in range(len(trace.samples) - f.horizon):
+        ahead = list(trace.samples[i + 1 : i + 1 + f.horizon])
+        assert plain.step(trace.samples[i], ahead) == vector.step(trace.samples[i], ahead)
+        assert np.array_equal(plain.table, vector.table)
 
 
 def test_defined_cells_match_reference_per_subformula():

@@ -1,9 +1,20 @@
 import math
 import random
+import sys
 
 import pytest
 
-from mtlmon import Predicate, PredicateError, StateSample, emax, emin, parse_predicates, signed_distance
+from mtlmon import (
+    Monitor,
+    Predicate,
+    PredicateError,
+    StateSample,
+    compile_formula,
+    emax,
+    emin,
+    parse_predicates,
+    signed_distance,
+)
 
 INF = math.inf
 
@@ -79,6 +90,27 @@ def test_predicate_rejects_bad_gain():
         Predicate("p", "x", lo=0.0, gain=0.0)
 
 
+def test_predicate_rejects_non_finite_gain():
+    # with gain=inf, `p or not p` at x == lo evaluated inf * 0.0 = NaN
+    for gain in (INF, math.nan):
+        with pytest.raises(PredicateError, match="gain must be finite"):
+            Predicate("p", "x", lo=0.0, gain=gain)
+
+
+def test_predicate_rejects_infinite_bound_on_bounded_side():
+    with pytest.raises(PredicateError, match="finite on its bounded side"):
+        Predicate("p", "x", lo=INF)
+    with pytest.raises(PredicateError, match="finite on its bounded side"):
+        Predicate("p", "x", hi=-INF)
+
+
+def test_largest_gain_gives_no_nan():
+    f = compile_formula("p or not p")
+    mon = Monitor(f, {"p": Predicate("p", "x", lo=0.0, gain=sys.float_info.max)})
+    outs = [mon.step(sample(x=x)) for x in (0.0, 0.5, -0.5)]
+    assert not any(map(math.isnan, outs))
+
+
 def test_sign_matches_membership():
     rng = random.Random(5)
     for _ in range(300):
@@ -129,6 +161,14 @@ def test_parse_predicates():
 def test_parse_predicates_duplicate():
     with pytest.raises(PredicateError, match="duplicate"):
         parse_predicates("a : x <= 1\na : x >= 0\n")
+
+
+def test_parse_predicates_rejects_overflowing_bound():
+    # 1e400 parses as inf: the same rule as for Predicate(lo=inf)
+    with pytest.raises(PredicateError, match="line 2: p: bound must be finite"):
+        parse_predicates("q : y <= 1\np : x >= 1e400\n")
+    with pytest.raises(PredicateError, match="line 1: p: bound must be finite"):
+        parse_predicates("p : x <= -1e400")
 
 
 def test_parse_predicates_bad_line():
