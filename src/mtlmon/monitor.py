@@ -4,11 +4,15 @@ The monitor keeps one row per compiled subformula over a fixed window of
 column offsets j in [-history, horizon], where column 0 is the current
 step, negative columns are the stored past, and positive columns hold the
 supplied predictions.  One more column, -history-1, sits left of the
-window.  An unbounded since keeps the running value of its recurrence
-(the paper's Pre) in the table: each step it restarts from the cell left
-of the first column it recomputes, which the shift has filled with a
-final value, in that extra column when the row starts at -history.  For
-why the history side is widened by the horizon, see Formula.history.
+window, and pad columns sit right of it: as many as the largest until
+upper bound in the formula (not the formula's horizon: an until[0,0]
+never reads its left operand, so (a until[4,4] a) until[0,0] c has
+horizon 3 and an inner window of 4).  An unbounded since keeps the
+running value of its recurrence (the paper's Pre) in the table: each
+step it restarts from the cell left of the first column it recomputes,
+which the shift has filled with a final value, in that extra column when
+the row starts at -history.  For why the history side is widened by the
+horizon, see Formula.history.
 
 The table is updated incrementally.  A cell of row k at column j depends
 on samples up to absolute time i+j+horizon(k), where horizon(k) is the
@@ -31,17 +35,20 @@ Each step:
    to left,
 4. return the root row at column 0.
 
-The table starts at -inf, and cells whose absolute time i+j is negative
-are never written: the update starts at column -i or later, and the
-shift keeps every cell at its absolute time, so it only moves such cells
-into columns that are before the stream too.  Every read before the
-stream start therefore yields -inf, which is already the right value: a
-since trigger read makes its disjunct vanish (that window position does
-not exist), a since left-operand read only feeds disjuncts whose trigger
-lies before the stream as well, so they are -inf anyway, and an
-unbounded since's running value is -inf, its own seed (a maximum over
-nothing).  This makes warm-up steps agree exactly with evaluation on the
-finite prefix.
+The table starts at -inf, and two kinds of cell are never written.
+Cells whose absolute time i+j is negative: the update starts at column
+-i or later, and the shift keeps every cell at its absolute time, so it
+only moves such cells into columns that are before the stream too.  And
+the pad: every write stops at the horizon column, and the shift does not
+reach past column 0.  Every read before the stream start or past the
+horizon therefore yields -inf, which is already the right value at both
+ends.  A trigger read there makes its disjunct vanish (that window
+position does not exist, or lies beyond the predictions), a left-operand
+read there only feeds disjuncts whose trigger lies there as well, so
+they are -inf anyway, and an unbounded since's running value is -inf,
+its own seed (a maximum over nothing).  This makes warm-up steps agree
+exactly with evaluation on the finite prefix, and lets until and since
+rows pass plain table slices to one windowed kernel.
 
 Rows with large windows are filled through numpy kernels that compute the
 same max-of-min network data-parallel; small rows use plain loops.  The
@@ -100,9 +107,11 @@ class _Row:
 class Monitor:
     """Streaming evaluator for one compiled formula over one sample stream.
 
-    Storage is fixed at construction: a node-count by (history+2+horizon)
-    table, the window plus the column left of it; it never grows with the
-    stream.  Column j of row k is table[k, j + history + 1].
+    Storage is fixed at construction: a node-count by
+    (history+2+horizon+pad) table, the window plus the column left of it
+    and the -inf pad right of it, pad being the largest until upper bound
+    (0 without until); it never grows with the stream.  Column j of row k
+    is table[k, j + history + 1].
     step() is single-writer: do not call it concurrently on the same
     instance.  Independent monitors are fully isolated.
     """
@@ -123,7 +132,8 @@ class Monitor:
         self.history = formula.history
         self.width = self.history + 1 + self.horizon
         self.engine = engine
-        self.table = np.full((len(formula.nodes), self.width + 1), NEG_INF)
+        pad = max((int(n.interval.upper) for n in formula.nodes if n.kind == UNTIL), default=0)
+        self.table = np.full((len(formula.nodes), self.width + 1 + pad), NEG_INF)
         self.i = 0
         self._frontier: list[StateSample] = []
         self._values: dict[str, list[float]] = {}
@@ -194,13 +204,14 @@ class Monitor:
             return
         T = self.table
         off = self.history + 1
+        e = self.horizon + off + 1  # the pad right of the horizon is never written
         if row.kind == ATOM:
             if row.vector:
                 xs = self._var_values(row.pred.variable)
                 d = np.minimum(xs - row.pred.lo, row.pred.hi - xs)
                 if row.pred.gain != 1.0:
                     np.multiply(row.pred.gain, d, out=d)
-                T[k, off:] = d
+                T[k, off:e] = d
             else:
                 for j in range(0, self.horizon + 1):
                     T[k, j + off] = signed_distance(self._frontier[j], row.pred)
@@ -208,15 +219,19 @@ class Monitor:
         if row.vector:
             a = jlo + off
             if row.kind == TRUE:
-                T[k, a:] = POS_INF
+                T[k, a:e] = POS_INF
             elif row.kind == NOT:
-                np.negative(T[row.left, a:], out=T[k, a:])
+                np.negative(T[row.left, a:e], out=T[k, a:e])
             elif row.kind == OR:
-                np.maximum(T[row.left, a:], T[row.right, a:], out=T[k, a:])
-            elif row.kind == UNTIL:
-                self._fill_until_vector(k, row, jlo)
+                np.maximum(T[row.left, a:e], T[row.right, a:e], out=T[k, a:e])
             else:
-                self._fill_since_vector(k, row, jlo)
+                # since reads the until window mirrored in time
+                m, n, lo, up = row.left, row.right, row.lo, int(row.up)
+                if row.kind == UNTIL:
+                    em, en, out = T[m, a : e + up - 1], T[n, a + lo : e + up], T[k, a:e]
+                else:
+                    em, en, out = T[m, a - up + 1 : e][::-1], T[n, a - up : e - lo][::-1], T[k, a:e][::-1]
+                out[:] = _max_min_window(em, en, lo, up, e - a)
             return
         if row.kind == SINCE:
             for j in range(jlo, self.horizon + 1):
@@ -231,7 +246,7 @@ class Monitor:
         One cell of the table update; exposed so single cells can be
         inspected and tested.  Only meaningful on columns the update would
         visit (operand rows filled, absolute time i+j nonnegative); reads
-        before the stream start see the table's initial -inf.
+        before the stream start or past the horizon see the table's -inf.
         """
         row = self._rows[k]
         T = self.table
@@ -250,8 +265,6 @@ class Monitor:
         m, n = row.left, row.right
         lo = row.lo
         if kind == UNTIL:
-            if j + lo > self.horizon:
-                return NEG_INF
             tmp = POS_INF
             for jp in range(j, j + lo):
                 tmp = min(tmp, float(T[m, jp + off]))
@@ -299,48 +312,16 @@ class Monitor:
             arr = self._var_cache[var] = np.array(self._values[var], dtype=float)
         return arr
 
-    def _fill_until_vector(self, k: int, row: _Row, jlo: int) -> None:
-        T = self.table
-        off = self.history + 1
-        hrz = self.horizon
-        m, n, lo = row.left, row.right, row.lo
-        up = int(row.up)
-        count = hrz - jlo + 1
-        a = jlo + off
-        if up == 0:
-            np.copyto(T[k, a:], T[n, a:])
-            return
-        # operand views padded past the horizon: missing trigger positions
-        # contribute -inf disjuncts, missing left positions are neutral
-        em = np.full(count + up - 1, POS_INF)
-        em[:count] = T[m, a:]
-        en = np.full(count + up - lo, NEG_INF)
-        if count > lo:
-            en[: count - lo] = T[n, a + lo :]
-        T[k, a:] = _max_min_window(em, en, lo, up, count)
-
-    def _fill_since_vector(self, k: int, row: _Row, jlo: int) -> None:
-        T = self.table
-        off = self.history + 1
-        hrz = self.horizon
-        m, n, lo = row.left, row.right, row.lo
-        up = int(row.up)
-        count = hrz - jlo + 1
-        a = jlo + off
-        if up == 0:
-            np.copyto(T[k, a:], T[n, a:])
-            return
-        # mirror the window into the shared forward kernel
-        fm = T[m, (jlo - up + 1) + off : hrz + off + 1][::-1]
-        fn = T[n, (jlo - up) + off : (hrz - lo) + off + 1][::-1]
-        T[k, a:] = _max_min_window(fm, fn, lo, up, count)[::-1]
-
 
 def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int) -> np.ndarray:
     """out[r] = max over w in [lo, up] of min(en[r + w - lo], pmin(em, r, w))
 
     where pmin(em, r, 0) = +inf and pmin(em, r, w) = min(em[r : r + w]).
-    Requires up >= 1, len(em) = count + up - 1, len(en) = count + up - lo.
+    Requires len(em) = count + up - 1 and len(en) = count + up - lo; for
+    up = 0 (so lo = 0) the only disjunct is en[r], and en[:count] is
+    returned as it is.  Until passes forward table slices, since the same
+    slices reversed; entries past the horizon are the table's -inf pad, so
+    a window running off the horizon only adds -inf disjuncts.
 
     The running minima c[r, w - 1] = pmin(em, r, w) for w in [1, up] come
     from np.minimum.accumulate, which keeps the work quadratic in the
@@ -358,6 +339,8 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     even the 110 steps that criterion 4's sweep runs reach 4110 cells
     (about 131 MB).
     """
+    if up == 0:
+        return en[:count]
     first = max(lo, 1)  # smallest w whose disjunct reads a running minimum
     out = np.empty(count)
     vm = np.lib.stride_tricks.sliding_window_view(em, up)

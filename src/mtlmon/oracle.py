@@ -34,8 +34,8 @@ from .semantics import (
 class Trace:
     """Uniformly sampled sequence of state samples.
 
-    delta_t is the sampling period; None is allowed for single-sample
-    traces where no period can be inferred.  Timestamps must be uniform to
+    delta_t is the sampling period; None is allowed only for traces of at
+    most one sample, where no period can be inferred.  Timestamps must be uniform to
     a relative tolerance of 1e-6.
     """
 
@@ -43,6 +43,8 @@ class Trace:
     delta_t: float | None = None
 
     def __post_init__(self) -> None:
+        if self.delta_t is None and len(self.samples) > 1:
+            raise ValueError(f"sampling period missing for a trace of {len(self.samples)} samples")
         if self.delta_t is not None:
             if not self.delta_t > 0:
                 raise ValueError(f"sampling period must be positive, got {self.delta_t}")

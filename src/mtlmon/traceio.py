@@ -78,8 +78,6 @@ def load_trace(path: str) -> Trace:
                 raise _bad_cell(ridx, header, row)
             samples.append(StateSample(dict(zip(variables, parsed[1:])), parsed[0]))
     delta_t = samples[1].time - samples[0].time if len(samples) > 1 else None
-    if delta_t is not None and delta_t <= 0:
-        raise TraceError("non-uniform sampling at row 1: time stamps must increase")
     try:
         return Trace(tuple(samples), delta_t)
     except ValueError as exc:  # Trace checks the spacing of every row

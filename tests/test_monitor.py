@@ -37,7 +37,7 @@ def test_init_worked_example_dimensions():
     f = compile_formula("historically[0,inf) p and always[1,2] q")
     mon = Monitor(f, {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)})
     assert mon.width == 5
-    assert mon.table.shape == (9, 6)
+    assert mon.table.shape == (9, 8)
 
 
 def test_init_single_atom_dimensions():
@@ -219,6 +219,7 @@ def test_engines_agree_cell_for_cell():
         "eventually[0,9] (a since[0,3] b)",  # since rows with count 10 > window 4
         "eventually[0,9] (a since[1,3] b)",
         "eventually[0,9] (a since[3,3] b)",
+        "(a until[4,4] a) until[0,0] c",  # pad 4 exceeds the horizon 3
     ],
 )
 def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
@@ -236,6 +237,8 @@ def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
         ahead = list(trace.samples[i + 1 : i + 1 + f.horizon])
         assert plain.step(trace.samples[i], ahead) == vector.step(trace.samples[i], ahead)
         assert np.array_equal(plain.table, vector.table)
+        for mon in (plain, vector):
+            assert (mon.table[:, mon.width + 1 :] == -INF).all()  # the pad is never written
 
 
 def test_defined_cells_match_reference_per_subformula():

@@ -171,3 +171,10 @@ def test_trace_rejects_non_uniform_times():
     )
     with pytest.raises(ValueError, match="non-uniform"):
         Trace(samples, 0.1)
+
+
+def test_trace_requires_period_for_several_samples():
+    samples = (StateSample({"x": 0.0}, 0.0), StateSample({"x": 0.0}, 7.0))
+    with pytest.raises(ValueError, match="sampling period missing"):
+        Trace(samples)
+    assert len(Trace(samples[:1])) == 1

@@ -42,6 +42,13 @@ def test_load_rejects_non_uniform(tmp_path):
         load_trace(path)
 
 
+def test_load_rejects_non_increasing_times(tmp_path):
+    for body in ("0.1,1.0\n0.0,1.0\n", "0.0,1.0\n0.0,1.0\n"):
+        path = write(tmp_path, "time,x\n" + body)
+        with pytest.raises(TraceError, match="sampling period must be positive"):
+            load_trace(path)
+
+
 def test_load_rejects_short_row(tmp_path):
     path = write(tmp_path, "time,x,y\n0.0,1.0,2.0\n0.1,3.0\n")
     with pytest.raises(TraceError, match="missing column at row 1"):
