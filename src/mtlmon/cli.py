@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 violation
 observed (only with --fail-on-violation), 3 bad trace data, 4 bad
-formula or predicate definitions.
+formula or predicate definitions (also a formula whose monitor table
+would not fit in physical memory).
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ParseError, PredicateError) as exc:
+    except (ParseError, PredicateError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except TraceError as exc:

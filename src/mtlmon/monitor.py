@@ -57,17 +57,20 @@ round).  Row k costs (horizon(k) + horizon + 1) cells per step, each
 linear in the row's window: quadratic in the window for future rows
 (template E's root spans [-H, H]), linear for past-only specifications,
 whose rows recompute one cell each.  The until/since kernel
-(_max_min_window) builds a cells x window block of running minima,
-takes the disjuncts' minima in place in it and reduces each row; the
-w = 0 disjunct of a [0, b] window needs no running minimum and is folded
-into the results afterwards, so the block is never copied.  A steady
-template-E step at H = 500 thus makes three passes over a 1001 x 500
-block of doubles (accumulate, minimum, maximum).
+(_max_min_window) builds a window x cells block of running minima, one
+row per window offset, takes the disjuncts' minima in place in it and
+reduces each column; the w = 0 disjunct of a [0, b] window needs no
+running minimum and is folded into the results afterwards, so the block
+is never copied.  A steady template-E step at H = 500 thus fills a
+500 x 1001 block of doubles one row at a time, each row one elementwise
+minimum of the row above and a shifted operand slice, then makes two
+more passes over it (minimum, maximum).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -111,7 +114,8 @@ class Monitor:
     (history+2+horizon+pad) table, the window plus the column left of it
     and the -inf pad right of it, pad being the largest until upper bound
     (0 without until); it never grows with the stream.  Column j of row k
-    is table[k, j + history + 1].
+    is table[k, j + history + 1].  A table larger than physical memory is
+    refused with MemoryError before anything is allocated.
     step() is single-writer: do not call it concurrently on the same
     instance.  Independent monitors are fully isolated.
     """
@@ -133,7 +137,15 @@ class Monitor:
         self.width = self.history + 1 + self.horizon
         self.engine = engine
         pad = max((int(n.interval.upper) for n in formula.nodes if n.kind == UNTIL), default=0)
-        self.table = np.full((len(formula.nodes), self.width + 1 + pad), NEG_INF)
+        shape = (len(formula.nodes), self.width + 1 + pad)
+        size = 8 * shape[0] * shape[1]  # float64; np.full touches every page
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if size > ram:
+            raise MemoryError(
+                f"monitor table {shape[0]} x {shape[1]} needs {size} bytes, "
+                f"more than the {ram} bytes of physical memory"
+            )
+        self.table = np.full(shape, NEG_INF)
         self.i = 0
         self._frontier: list[StateSample] = []
         self._values: dict[str, list[float]] = {}
@@ -323,21 +335,36 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     slices reversed; entries past the horizon are the table's -inf pad, so
     a window running off the horizon only adds -inf disjuncts.
 
-    The running minima c[r, w - 1] = pmin(em, r, w) for w in [1, up] come
-    from np.minimum.accumulate, which keeps the work quadratic in the
-    window like the paper's dynamic program (criterion 4 measures that
-    slope).  The disjuncts w >= max(lo, 1) are taken in place in c, then
-    reduced along each row.  For lo = 0 the w = 0 disjunct is min(+inf,
-    en[r]) = en[r], so it is folded in at the end by one elementwise
-    maximum over the count outputs, instead of copying c into a wider
-    block with a +inf column in front.  Min and max only select values,
-    so the order of the reduction does not change the result.
+    The running minima are stored transposed, c[w - 1, r] = pmin(em, r, w)
+    for w in [1, up], which keeps the work quadratic in the window like the
+    paper's dynamic program (criterion 4 measures that slope).  For a block
+    of cells [r0, r1), c[w] = min(c[w - 1], em[r0 + w : r1 + w]): one
+    elementwise minimum over every cell with no dependency between
+    elements, where np.minimum.accumulate along a window waits on each
+    element for the one before it.  That row loop costs one ufunc call per
+    window offset, so it runs only on a block at least as wide (cells) as
+    it is tall (offsets), such as template E's steady until row, 1001
+    cells x 500 offsets.  A taller block keeps accumulate, one call per
+    block: the one-cell bounded since rows of past-only specifications,
+    and every block of a window above 1024 offsets, where _BLOCK // up
+    cells are fewer than up.
 
-    Rows are processed in blocks of at most _BLOCK elements, which bounds
+    The disjuncts w >= max(lo, 1) are taken in place in c, then reduced
+    along each column.  For lo = 0 the w = 0 disjunct is min(+inf, en[r])
+    = en[r], so it is folded in at the end by one elementwise maximum over
+    the count outputs, instead of copying c into a taller block with a
+    +inf row on top.  Min and max only select values, so the order of the
+    reduction does not change the result.
+
+    Cells are processed in blocks of at most _BLOCK elements, which bounds
     the kernel's memory, not its time: at H = 4000 a steady step covers
-    8001 cells, an unblocked 8001 x 4000 block of float64 (256 MB), and
+    8001 cells, an unblocked 4000 x 8001 block of float64 (256 MB), and
     even the 110 steps that criterion 4's sweep runs reach 4110 cells
-    (about 131 MB).
+    (about 131 MB).  The blocks stay over cells, each spanning the whole
+    window: a loop over window offsets with no cell blocks, or with blocks
+    over offsets, makes large windows as cheap per element as small ones,
+    and the kernel's slope over criterion 4's sweep falls to about 1.4,
+    below the range the criterion checks.
     """
     if up == 0:
         return en[:count]
@@ -348,10 +375,16 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     rows = max(1, _BLOCK // up)
     for r0 in range(0, count, rows):
         r1 = min(count, r0 + rows)
-        c = np.minimum.accumulate(vm[r0:r1], axis=1)
-        d = c[:, first - 1 :]
-        np.minimum(d, vn[r0:r1], out=d)
-        np.max(d, axis=1, out=out[r0:r1])
+        if r1 - r0 >= up:
+            c = np.empty((up, r1 - r0))
+            c[0] = em[r0:r1]
+            for w in range(1, up):
+                np.minimum(c[w - 1], em[r0 + w : r1 + w], out=c[w])
+        else:
+            c = np.minimum.accumulate(vm[r0:r1].T, axis=0)
+        d = c[first - 1 :]
+        np.minimum(d, vn[r0:r1].T, out=d)
+        np.max(d, axis=0, out=out[r0:r1])
     if lo == 0:
         np.maximum(out, en[:count], out=out)  # w = 0: min(+inf, en[r])
     return out

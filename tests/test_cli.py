@@ -81,6 +81,9 @@ def test_monitor_exit_codes(tmp_path):
     p.write_text("p : x >= 1e400\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 4  # bound overflows to inf
     p.write_text("p : x >= 0\n")
+    f.write_text("eventually[0,1000000000000] p")
+    assert main(monitor_args(f, p, t, out)) == 4  # table larger than physical memory
+    f.write_text("p")
     t.write_text("time,x\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # bad trace
     t.write_text("time,x,x\n0.0,1.0,2.0\n")

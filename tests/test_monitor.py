@@ -59,6 +59,13 @@ def test_init_rejects_unbound_atoms():
         Monitor(f, X_GE_0)
 
 
+def test_init_refuses_table_larger_than_memory():
+    # 3 rows x 3e12 columns of float64: refused before np.full touches a page
+    f = compile_formula("eventually[0,1000000000000] p")
+    with pytest.raises(MemoryError, match=r"monitor table 3 x 3000000000002 needs"):
+        Monitor(f, X_GE_0)
+
+
 def test_init_all_cells_undefined():
     f = compile_formula("eventually[0,2] p")
     mon = Monitor(f, X_GE_0)
@@ -206,7 +213,7 @@ def test_engines_agree_cell_for_cell():
             assert np.array_equal(plain.table, vector.table, equal_nan=True)
 
 
-@pytest.mark.parametrize("block", [3, 8])
+@pytest.mark.parametrize("block", [3, 8, 25, 40])
 @pytest.mark.parametrize(
     "text",
     [
@@ -223,9 +230,13 @@ def test_engines_agree_cell_for_cell():
     ],
 )
 def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
-    # _BLOCK elements per running-minimum block: with 3 or 8, an update of
-    # more than two cells spans several blocks, which the 1 << 20 default
-    # never does at the bounds of the other tests
+    # _BLOCK elements per running-minimum block: with these, an update of
+    # more than a few cells spans several blocks, which the 1 << 20 default
+    # never does at the bounds of the other tests.  A block with at least as
+    # many cells as window offsets is filled one offset at a time, a taller
+    # one by accumulate: 3 and 8 give only tall blocks, 25 gives until[0,5]
+    # two wide blocks of 5 cells and a last one of 1, and 40 puts every
+    # window of 3 in one wide block
     monkeypatch.setattr(monitor_module, "_BLOCK", block)
     rng = random.Random(block)
     f = compile_formula(text)
