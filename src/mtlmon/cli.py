@@ -24,6 +24,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,8 @@ _WARMUP_STEPS = 10
 def seconds_to_samples(bound: float, delta_t: float) -> int:
     """Convert a bound in seconds to samples, refusing to round."""
     k = bound / delta_t
+    if not math.isfinite(k):
+        raise ConfigError(f"interval bound {bound} s overflows a count of sampling periods of {delta_t} s")
     r = round(k)
     if abs(k - r) > 1e-9 * max(1.0, abs(k)):
         raise ConfigError(f"interval bound {bound} s is not a multiple of the sampling period {delta_t} s")
@@ -66,7 +69,9 @@ def intervals_to_samples(tree: SurfaceNode, delta_t: float) -> SurfaceNode:
         if upper != math.inf:
             upper = seconds_to_samples(upper, delta_t)
         interval = Interval(seconds_to_samples(interval.lower, delta_t), upper)
-    children = tuple(intervals_to_samples(c, delta_t) for c in tree.children)
+    # map, not a generator: one frame per level, as in parse_formula, so
+    # a tree that parsed is never too deep to convert
+    children = tuple(map(intervals_to_samples, tree.children, repeat(delta_t)))
     return replace(tree, children=children, interval=interval)
 
 
@@ -78,13 +83,21 @@ def run_monitor(config: RunConfig) -> tuple[int, list[tuple[int, float, float]]]
     predictions cover every step.
     """
     trace = load_trace(config.trace_path)
-    tree = parse_formula(Path(config.formula_path).read_text(encoding="utf-8"))
+    try:
+        text = Path(config.formula_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"formula file is not UTF-8 text ({exc.reason})", exc.start) from None
+    tree = parse_formula(text)
     if config.time_units == "seconds":
         if trace.delta_t is None:
             raise ConfigError("seconds mode needs at least two samples to infer the sampling period")
         tree = intervals_to_samples(tree, trace.delta_t)
     formula = desugar(tree)
-    predicates = parse_predicates(Path(config.predicates_path).read_text(encoding="utf-8"))
+    try:
+        text = Path(config.predicates_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PredicateError(f"predicates file is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    predicates = parse_predicates(text)
     mon = Monitor(formula, predicates)
     if trace.samples:
         for name in sorted(formula.atom_names):

@@ -289,7 +289,10 @@ class _Parser:
 def parse_formula(text: str) -> SurfaceNode:
     """Parse specification text into a surface syntax tree."""
     parser = _Parser(_tokenize(text))
-    tree = parser.implies()
+    try:
+        tree = parser.implies()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
     kind, tok, pos = parser.peek()
     if kind != "eof":
         raise ParseError(f"unexpected token {tok!r}", pos)
@@ -464,7 +467,10 @@ class _CoreBuilder:
 def desugar(tree: SurfaceNode) -> Formula:
     """Compile a surface tree into an annotated core Formula."""
     builder = _CoreBuilder()
-    root = builder.lower(tree)
+    try:
+        root = builder.lower(tree)
+    except RecursionError:  # only from a tree built by hand: parsing takes more frames per level
+        raise ParseError("formula nested too deeply to compile", 0) from None
     # drop subterms orphaned by double-negation elimination, then renumber
     # so the root is index 0 and operands sit at strictly larger indices
     reachable: set[int] = set()

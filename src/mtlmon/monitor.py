@@ -30,9 +30,9 @@ Each step:
 2. shift the whole table one column to the left, dropping the oldest
    column,
 3. recompute the columns [-horizon(k), horizon] of every row k bottom-up
-   (operands live at larger indices): since rows left to right because
-   their recurrence consumes the previous column, everything else right
-   to left,
+   (operands live at larger indices) and left to right: only an
+   unbounded since reads its own row, the column left of the one it
+   writes,
 4. return the root row at column 0.
 
 The table starts at -inf, and two kinds of cell are never written.
@@ -50,27 +50,33 @@ its own seed (a maximum over nothing).  This makes warm-up steps agree
 exactly with evaluation on the finite prefix, and lets until and since
 rows pass plain table slices to one windowed kernel.
 
-Rows with large windows are filled through numpy kernels that compute the
-same max-of-min network data-parallel; small rows use plain loops.  The
-two paths produce bit-identical results (min/max select, they never
-round).  Row k costs (horizon(k) + horizon + 1) cells per step, each
-linear in the row's window: quadratic in the window for future rows
-(template E's root spans [-H, H]), linear for past-only specifications,
-whose rows recompute one cell each.  The until/since kernel
-(_max_min_window) builds a window x cells block of running minima, one
-row per window offset, takes the disjuncts' minima in place in it and
-reduces each column; the w = 0 disjunct of a [0, b] window needs no
-running minimum and is folded into the results afterwards, so the block
-is never copied.  A steady template-E step at H = 500 thus fills a
-500 x 1001 block of doubles one row at a time, each row one elementwise
-minimum of the row above and a shifted operand slice, then makes two
-more passes over it (minimum, maximum).
+Rows with large windows are filled through numpy kernels over whole
+slices; every other row is filled one cell at a time by cr(), the
+paper's per-cell recurrence.  An until or since row reads the same
+window slices on both paths (Monitor._window: forward for until,
+mirrored in time for since), and the two produce bit-identical results
+(min/max select, they never round).  An unbounded since always takes
+cr(): its running value is the cell it wrote one column to the left.
+Row k costs (horizon(k) + horizon + 1) cells per step, each linear in
+the row's window: quadratic in the window for future rows (template E's
+root spans [-H, H]), linear for past-only specifications, whose rows
+recompute one cell each.  The until/since kernel (_max_min_window)
+builds a window x cells block of running minima, one row per window
+offset, takes the disjuncts' minima in place in it and reduces each
+column; the w = 0 disjunct of a [0, b] window needs no running minimum
+and is folded into the results afterwards, so the block is never copied.  A
+steady template-E step at H = 500 thus fills a 500 x 1001 block of
+doubles one row at a time, each row one elementwise minimum of the row
+above and a shifted operand slice, then makes two more passes over it
+(minimum, maximum).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -91,20 +97,24 @@ _VECTOR_CELLS = 4096  # windowed rows go through numpy above this many cell-ops
 _VECTOR_WIDTH = 64    # elementwise rows go through numpy above this width
 
 
+@dataclass(slots=True)
 class _Row:
-    __slots__ = ("kind", "left", "right", "lo", "up", "horizon", "start", "pred", "unbounded", "vector")
+    """How one table row is filled.  The window is [lo, up] with up an int;
+    an unbounded since stores [lo, lo], the one disjunct that its running
+    value (the row's own cell one column to the left) does not cover.
+    vector rows are filled by numpy over whole slices, all others cell by
+    cell through Monitor.cr()."""
 
-    def __init__(self, kind, left, right, lo, up, horizon, start, pred, unbounded, vector):
-        self.kind = kind
-        self.left = left
-        self.right = right
-        self.lo = lo
-        self.up = up
-        self.horizon = horizon
-        self.start = start
-        self.pred = pred
-        self.unbounded = unbounded
-        self.vector = vector
+    kind: str
+    left: int
+    right: int
+    lo: int
+    up: int
+    horizon: int
+    start: int  # leftmost column the row maintains
+    pred: Predicate | None
+    unbounded: bool
+    vector: bool
 
 
 class Monitor:
@@ -120,14 +130,7 @@ class Monitor:
     instance.  Independent monitors are fully isolated.
     """
 
-    def __init__(
-        self,
-        formula: Formula,
-        predicates: Mapping[str, Predicate],
-        engine: str = "auto",
-    ):
-        if engine not in ("auto", "plain", "vector"):
-            raise ValueError(f"unknown engine {engine!r}")
+    def __init__(self, formula: Formula, predicates: Mapping[str, Predicate]):
         missing = sorted(formula.atom_names - set(predicates))
         if missing:
             raise PredicateError("unbound atoms: " + ", ".join(missing))
@@ -135,7 +138,6 @@ class Monitor:
         self.horizon = formula.horizon
         self.history = formula.history
         self.width = self.history + 1 + self.horizon
-        self.engine = engine
         pad = max((int(n.interval.upper) for n in formula.nodes if n.kind == UNTIL), default=0)
         shape = (len(formula.nodes), self.width + 1 + pad)
         size = 8 * shape[0] * shape[1]  # float64; np.full touches every page
@@ -149,7 +151,6 @@ class Monitor:
         self.i = 0
         self._frontier: list[StateSample] = []
         self._values: dict[str, list[float]] = {}
-        self._var_cache: dict[str, np.ndarray] = {}
         self._rows = [self._plan(node, predicates) for node in formula.nodes]
         self._variables = sorted({r.pred.variable for r in self._rows if r.kind == ATOM})
 
@@ -157,18 +158,15 @@ class Monitor:
         lo = node.interval.lower if node.interval is not None else 0
         up = node.interval.upper if node.interval is not None else 0
         unbounded = node.kind == SINCE and up == math.inf
-        start = node.history - self.history
-        pred = predicates[node.name] if node.kind == ATOM else None
-        if self.engine == "plain":
-            vector = False
-        elif node.kind == SINCE and unbounded:
-            vector = False  # the recurrence is inherently sequential
+        if unbounded:
+            up, vector = lo, False  # the recurrence is inherently sequential
         elif node.kind in (UNTIL, SINCE):
-            window = int(up) - lo + 1
-            vector = self.engine == "vector" or self.width * window >= _VECTOR_CELLS
+            vector = self.width * (up - lo + 1) >= _VECTOR_CELLS
         else:
-            vector = self.engine == "vector" or self.width >= _VECTOR_WIDTH
-        return _Row(node.kind, node.left, node.right, lo, up, node.horizon, start, pred, unbounded, vector)
+            vector = self.width >= _VECTOR_WIDTH
+        pred = predicates[node.name] if node.kind == ATOM else None
+        start = node.history - self.history
+        return _Row(node.kind, node.left, node.right, lo, int(up), node.horizon, start, pred, unbounded, vector)
 
     def step(self, sample: StateSample, predictions: Sequence[StateSample] = ()) -> Rho:
         """Consume the current sample plus horizon predicted samples and
@@ -185,7 +183,6 @@ class Monitor:
         self.i += 1
         self._frontier = frontier
         self._values = values
-        self._var_cache = {}
         T = self.table
         off = self.history + 1
         T[:, :off] = T[:, 1 : off + 1]
@@ -216,90 +213,70 @@ class Monitor:
             return
         T = self.table
         off = self.history + 1
-        e = self.horizon + off + 1  # the pad right of the horizon is never written
-        if row.kind == ATOM:
-            if row.vector:
-                xs = self._var_values(row.pred.variable)
-                d = np.minimum(xs - row.pred.lo, row.pred.hi - xs)
-                if row.pred.gain != 1.0:
-                    np.multiply(row.pred.gain, d, out=d)
-                T[k, off:e] = d
-            else:
-                for j in range(0, self.horizon + 1):
-                    T[k, j + off] = signed_distance(self._frontier[j], row.pred)
-            return
-        if row.vector:
-            a = jlo + off
-            if row.kind == TRUE:
-                T[k, a:e] = POS_INF
-            elif row.kind == NOT:
-                np.negative(T[row.left, a:e], out=T[k, a:e])
-            elif row.kind == OR:
-                np.maximum(T[row.left, a:e], T[row.right, a:e], out=T[k, a:e])
-            else:
-                # since reads the until window mirrored in time
-                m, n, lo, up = row.left, row.right, row.lo, int(row.up)
-                if row.kind == UNTIL:
-                    em, en, out = T[m, a : e + up - 1], T[n, a + lo : e + up], T[k, a:e]
-                else:
-                    em, en, out = T[m, a - up + 1 : e][::-1], T[n, a - up : e - lo][::-1], T[k, a:e][::-1]
-                out[:] = _max_min_window(em, en, lo, up, e - a)
-            return
-        if row.kind == SINCE:
+        if not row.vector:
             for j in range(jlo, self.horizon + 1):
                 T[k, j + off] = self.cr(k, j)
+            return
+        a, e = jlo + off, self.horizon + off + 1  # the pad right of the horizon is never written
+        if row.kind == ATOM:
+            xs = np.array(self._values[row.pred.variable], dtype=float)
+            d = np.minimum(xs - row.pred.lo, row.pred.hi - xs, out=T[k, a:e])
+            if row.pred.gain != 1.0:
+                d *= row.pred.gain
+        elif row.kind == TRUE:
+            T[k, a:e] = POS_INF
+        elif row.kind == NOT:
+            np.negative(T[row.left, a:e], out=T[k, a:e])
+        elif row.kind == OR:
+            np.maximum(T[row.left, a:e], T[row.right, a:e], out=T[k, a:e])
         else:
-            for j in range(self.horizon, jlo - 1, -1):
-                T[k, j + off] = self.cr(k, j)
+            em, en, out = self._window(k, a, e)
+            out[:] = _max_min_window(em, en, row.lo, row.up, e - a)
+
+    def _window(self, k: int, a: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Left-operand, trigger and output slices of until or since row k
+        over table indices [a, e), as _max_min_window takes them: forward
+        for until; for since the same window mirrored in time, so that
+        out[0] is index e - 1 and the window reaches back from it."""
+        row = self._rows[k]
+        T, m, n, lo, up = self.table, row.left, row.right, row.lo, row.up
+        if row.kind == UNTIL:
+            return T[m, a : e + up - 1], T[n, a + lo : e + up], T[k, a:e]
+        return T[m, a - up + 1 : e][::-1], T[n, a - up : e - lo][::-1], T[k, a:e][::-1]
 
     def cr(self, k: int, j: int) -> Rho:
         """Value of row k at column j, recomputed from the operand rows.
 
-        One cell of the table update; exposed so single cells can be
-        inspected and tested.  Only meaningful on columns the update would
-        visit (operand rows filled, absolute time i+j nonnegative); reads
-        before the stream start or past the horizon see the table's -inf.
+        One cell of the table update: the update fills every row that is
+        not on numpy through it, and it is exposed so single cells can be
+        inspected and tested.  Raises IndexError unless row.start <= j <=
+        horizon, the columns the row maintains.  Only meaningful where the
+        update has run (operand rows filled, absolute time i+j
+        nonnegative); reads before the stream start or past the horizon
+        see the table's -inf.  An until or since cell is _max_min_window's
+        formula for one cell, over the same slices; an unbounded since
+        maxes its [lo, lo] disjunct with its running value, the minimum of
+        its own cell one column to the left and the left operand here.
         """
         row = self._rows[k]
+        if not row.start <= j <= self.horizon:
+            raise IndexError(f"column {j} outside [{row.start}, {self.horizon}], the columns of row {k}")
         T = self.table
-        off = self.history + 1
-        kind = row.kind
-        if kind == TRUE:
+        a = j + self.history + 1
+        if row.kind == TRUE:
             return POS_INF
-        if kind == ATOM:
-            if j >= 0:
-                return signed_distance(self._frontier[j], row.pred)
-            return float(T[k, j + off])  # shifted history cell
-        if kind == NOT:
-            return -float(T[row.left, j + off])
-        if kind == OR:
-            return float(max(T[row.left, j + off], T[row.right, j + off]))
-        m, n = row.left, row.right
-        lo = row.lo
-        if kind == UNTIL:
-            tmp = POS_INF
-            for jp in range(j, j + lo):
-                tmp = min(tmp, float(T[m, jp + off]))
-            acc = NEG_INF
-            for jp in range(j + lo, min(self.horizon, j + int(row.up)) + 1):
-                acc = max(acc, min(tmp, float(T[n, jp + off])))
-                tmp = min(tmp, float(T[m, jp + off]))
-            return acc
-        # since
-        tmp = POS_INF
-        for jp in range(j - lo + 1, j + 1):
-            tmp = min(tmp, float(T[m, jp + off]))
+        if row.kind == ATOM:
+            return signed_distance(self._frontier[j], row.pred) if j >= 0 else float(T[k, a])
+        if row.kind == NOT:
+            return -float(T[row.left, a])
+        if row.kind == OR:
+            return float(max(T[row.left, a], T[row.right, a]))
+        em, en, _ = self._window(k, a, a + 1)
+        pmin = accumulate([POS_INF, *em.tolist()], min)  # pmin[w] = min(em[:w])
+        value = max(map(min, islice(pmin, row.lo, None), en.tolist()))
         if row.unbounded:
-            prev = float(T[k, j - 1 + off])
-            head = min(prev, float(T[m, j + off]))
-            return max(min(float(T[n, j - lo + off]), tmp), head)
-        up = int(row.up)
-        acc = NEG_INF
-        for jp in range(j - lo, j - up - 1, -1):
-            acc = max(acc, min(tmp, float(T[n, jp + off])))
-            if jp > j - up:  # the extension after the last disjunct is unused
-                tmp = min(tmp, float(T[m, jp + off]))
-        return acc
+            return max(value, min(float(T[k, a - 1]), float(T[row.left, a])))
+        return value
 
     def _checked_values(self, frontier: Sequence[StateSample]) -> dict[str, list[float]]:
         """Each variable the formula reads, over the frontier.  Rejects a
@@ -318,12 +295,6 @@ class Monitor:
             values[var] = xs
         return values
 
-    def _var_values(self, var: str) -> np.ndarray:
-        arr = self._var_cache.get(var)
-        if arr is None:
-            arr = self._var_cache[var] = np.array(self._values[var], dtype=float)
-        return arr
-
 
 def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int) -> np.ndarray:
     """out[r] = max over w in [lo, up] of min(en[r + w - lo], pmin(em, r, w))
@@ -331,9 +302,10 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     where pmin(em, r, 0) = +inf and pmin(em, r, w) = min(em[r : r + w]).
     Requires len(em) = count + up - 1 and len(en) = count + up - lo; for
     up = 0 (so lo = 0) the only disjunct is en[r], and en[:count] is
-    returned as it is.  Until passes forward table slices, since the same
-    slices reversed; entries past the horizon are the table's -inf pad, so
-    a window running off the horizon only adds -inf disjuncts.
+    returned as it is.  Monitor._window gives until forward table slices
+    and since the same slices reversed; Monitor.cr() evaluates this formula
+    for one cell (count = 1).  Entries past the horizon are the table's
+    -inf pad, so a window running off the horizon only adds -inf disjuncts.
 
     The running minima are stored transposed, c[w - 1, r] = pmin(em, r, w)
     for w in [1, up], which keeps the work quadratic in the window like the

@@ -54,6 +54,20 @@ class RunConfig:
 
 def load_trace(path: str) -> Trace:
     """Load and validate a trace CSV, parsing it one row at a time."""
+    try:
+        samples = _read_samples(path)
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"trace is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise TraceError(f"malformed trace: {exc}") from None
+    delta_t = samples[1].time - samples[0].time if len(samples) > 1 else None
+    try:
+        return Trace(tuple(samples), delta_t)
+    except ValueError as exc:  # Trace checks the spacing of every row
+        raise TraceError(str(exc)) from None
+
+
+def _read_samples(path: str) -> list[StateSample]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(line for line in fh if (text := line.lstrip()) and text[0] != "#")
         first = next(reader, None)
@@ -77,11 +91,7 @@ def load_trace(path: str) -> Trace:
             if not all(map(math.isfinite, parsed)):
                 raise _bad_cell(ridx, header, row)
             samples.append(StateSample(dict(zip(variables, parsed[1:])), parsed[0]))
-    delta_t = samples[1].time - samples[0].time if len(samples) > 1 else None
-    try:
-        return Trace(tuple(samples), delta_t)
-    except ValueError as exc:  # Trace checks the spacing of every row
-        raise TraceError(str(exc)) from None
+    return samples
 
 
 def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError:

@@ -121,9 +121,9 @@ def random_trace(rng: random.Random, variables, length: int, dt: float = 0.1,
     return Trace(samples, dt if length >= 2 else None)
 
 
-def perfect_series(formula, predicates, trace: Trace, engine: str = "auto"):
+def perfect_series(formula, predicates, trace: Trace):
     """Run the monitor with perfect look-ahead; returns (outputs, monitor)."""
-    mon = Monitor(formula, predicates, engine=engine)
+    mon = Monitor(formula, predicates)
     horizon = formula.horizon
     outs = []
     for i in range(len(trace.samples) - horizon):

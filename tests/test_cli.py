@@ -1,7 +1,12 @@
+import contextlib
+import io
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from mtlmon import ConfigError, compile_formula, offline_robustness_series
 from mtlmon.cli import (
@@ -12,9 +17,9 @@ from mtlmon.cli import (
     run_bench,
     run_case_study,
 )
-from mtlmon.formula import desugar, parse_formula
+from mtlmon.formula import desugar, format_formula, parse_formula
 
-from helpers import random_core_text, random_predicates, random_trace
+from helpers import ATOMS, random_core_text, random_predicates, random_surface_tree, random_trace
 
 
 def read_values(path):
@@ -98,6 +103,33 @@ def test_monitor_exit_codes(tmp_path):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize(
+    "which, content, code",
+    [
+        ("trace", b"time,x\n0.0,1\n0.1,\xff\n", 3),
+        ("trace", b"time,x\n0.0,1\n0.1," + b"1" * 140000 + b"\n", 3),  # over csv's field limit
+        ("formula", b"p or \xff", 4),
+        ("predicates", b"p : x >= 0  # \xff\n", 4),
+        ("formula", b"(" * 170 + b"p" + b")" * 170, 4),  # nested past the recursion limit
+        ("formula", b"not " * 990 + b"p", 4),
+    ],
+    ids=["trace-not-utf8", "trace-field-over-limit", "formula-not-utf8", "predicates-not-utf8", "parens", "nots"],
+)
+def test_monitor_rejects_bad_files_in_one_line(tmp_path, capsys, which, content, code):
+    files = dict(zip(("formula", "predicates", "trace"), setup_run(tmp_path, "p", "p : x >= 0\n", "time,x\n0.0,1\n")))
+    files[which].write_bytes(content)
+    assert main(monitor_args(files["formula"], files["predicates"], files["trace"], tmp_path / "out.csv", "hold")) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_monitor_seconds_units_converts_every_formula_that_parses(tmp_path):
+    # the conversion to samples recurses as deep as the tree, no deeper than parsing did
+    trace = "time,x\n" + "".join(f"{k * 0.5!r},{v}\n" for k, v in enumerate([-1.0, -2.0, 3.0, -4.0, -5.0]))
+    f, p, t, out = setup_run(tmp_path, "not " * 600 + "eventually[0,1] p", "p : x >= 0\n", trace)
+    assert main(monitor_args(f, p, t, out, extra=("--time-units", "seconds"))) == 0
+    assert read_values(out) == [3.0, 3.0, 3.0]  # the 600 negations cancel
+
+
 def test_monitor_none_predictor_needs_zero_horizon(tmp_path):
     f, p, t, out = setup_run(
         tmp_path, "eventually[0,1] p", "p : x >= 0\n", "time,x\n0.0,1.0\n0.1,1.0\n"
@@ -116,6 +148,8 @@ def test_monitor_seconds_units(tmp_path):
 def test_monitor_seconds_units_rejects_non_divisible(tmp_path):
     trace = "time,x\n0.0,1.0\n0.3,1.0\n0.6,1.0\n"
     f, p, t, out = setup_run(tmp_path, "eventually[0,1] p", "p : x >= 0\n", trace)
+    assert main(monitor_args(f, p, t, out, extra=("--time-units", "seconds"))) == 1
+    t.write_text("time,x\n0,1\n5e-324,2\n")  # 1 s over this period is an infinite count of samples
     assert main(monitor_args(f, p, t, out, extra=("--time-units", "seconds"))) == 1
 
 
@@ -254,3 +288,88 @@ def test_case_study_pt_with_fail_flag_exits_two(tmp_path):
     )
     args = monitor_args(f, p, t, out, predictor="none", extra=("--fail-on-violation",))
     assert main(args) == 2
+
+
+# ---------------------------------------------------------------------------
+# mtlmon monitor on arbitrary input files
+
+VARIABLES = [f"x_{a}" for a in ATOMS]
+
+
+@st.composite
+def spliced(draw, structured):
+    """Well-formed text half of the time, else the same with a span
+    replaced by arbitrary text, or arbitrary text or bytes outright."""
+    kind = draw(st.sampled_from(["well-formed", "well-formed", "spliced", "text", "bytes"]))
+    if kind == "text":
+        return draw(st.text(max_size=60))
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    text = draw(structured)
+    if kind == "spliced":
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, len(text)))
+        text = text[:i] + draw(st.text(max_size=8)) + text[j:]
+    return text
+
+
+VALUES = st.one_of(st.integers(-10, 10).map(float), st.floats(allow_nan=False, allow_infinity=False))
+FORMULAS = st.randoms(use_true_random=False).map(lambda rng: format_formula(random_surface_tree(rng, 3, 4)))
+
+
+def predicate_lines(a):
+    return st.one_of(
+        VALUES.map(f"{a} : x_{a} >= {{!r}}".format),
+        VALUES.map(f"{a} : x_{a} <= {{!r}}".format),
+        st.lists(VALUES, min_size=2, max_size=2).map(sorted).map(lambda b: f"{a} : {b[0]!r} <= x_{a} <= {b[1]!r}"),
+    )
+
+
+PREDICATES = st.tuples(*map(predicate_lines, ATOMS)).map("\n".join)
+
+
+@st.composite
+def traces(draw):
+    dt = draw(st.sampled_from((0.1, 0.25, 1.0)))
+    rows = [",".join(["time", *VARIABLES])]
+    for k in range(draw(st.integers(0, 12))):
+        rows.append(",".join(map(repr, [k * dt, *draw(st.lists(VALUES, min_size=3, max_size=3))])))
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    formula=spliced(FORMULAS),
+    predicates=spliced(PREDICATES),
+    trace=spliced(traces()),
+    predictor=st.sampled_from(["hold", "perfect", "none"]),
+    extra=st.lists(st.sampled_from([("--time-units", "seconds"), ("--fail-on-violation",)]), unique=True),
+)
+@example(formula="a", predicates="a : x_a >= 0", trace=b"time,x_a\n0.0,1\n0.1,\xff\n", predictor="hold", extra=[])
+def test_monitor_cli_on_arbitrary_files(tmp_path, monkeypatch, formula, predicates, trace, predictor, extra):
+    """main() never raises.  A rejection exits 1, 3 or 4 with one line on
+    stderr; a run exits 0, or 2 only under --fail-on-violation, prints
+    nothing on stderr and writes no NaN verdict."""
+    # a machine with 64 KiB of memory: a fuzzed interval bound of millions
+    # of samples is refused before its table is allocated or stepped
+    machine = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+    monkeypatch.setattr("mtlmon.monitor.os", machine)
+    paths = []
+    for name, content in (("spec.mtl", formula), ("preds.cfg", predicates), ("trace.csv", trace)):
+        path = tmp_path / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        paths.append(path)
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    args = monitor_args(*paths, out, predictor, [flag for option in extra for flag in option])
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    event(f"exit {code}")
+    if code in (0, 2):
+        assert code == 0 or ("--fail-on-violation",) in extra
+        assert err.getvalue() == ""
+        assert not any(math.isnan(v) for v in read_values(out))
+    else:
+        assert code in (1, 3, 4)
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -77,6 +77,20 @@ def test_parse_rejects_trailing_tokens():
         parse_formula("p q")
 
 
+@pytest.mark.parametrize("text", ["(" * 170 + "p" + ")" * 170, "not " * 990 + "p"], ids=["parens", "nots"])
+def test_parse_rejects_formula_nested_too_deeply(text):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(text)
+
+
+def test_desugar_rejects_tree_nested_too_deeply():
+    tree = SurfaceNode("atom", name="p")
+    for _ in range(5000):
+        tree = SurfaceNode("next", (tree,))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        desugar(tree)
+
+
 def test_parse_rejects_reserved_atom():
     with pytest.raises(ParseError):
         parse_formula("not")

@@ -153,6 +153,24 @@ def test_cr_unbounded_since_reads_table_index_0_at_its_leftmost_column():
     assert mon.cr(since_row, start) == 123.0
 
 
+def test_cr_rejects_columns_the_row_does_not_maintain():
+    # history 3, but the since root maintains column 0 only: its window
+    # at column -3 or further left would start before table index 0
+    f = compile_formula("a since[0,3] b")
+    preds = {"a": Predicate("a", "x", lo=0.0), "b": Predicate("b", "y", lo=0.0)}
+    mon = Monitor(f, preds)
+    for k in range(5):
+        mon.step(StateSample({"x": 1.0 + k, "y": -1.0 - k}, k * 0.1))
+    assert f.history == 3 and mon._rows[0].start == 0
+    for j in (-1, -3, -4, -6, 1):
+        with pytest.raises(IndexError):
+            mon.cr(0, j)
+    assert mon.cell(0, -3) is None
+    assert mon.cr(0, 0) == mon.cell(0, 0)
+    atom = next(k for k, n in enumerate(f.nodes) if n.kind == "atom")
+    assert mon.cr(atom, -3) == mon.cell(atom, -3)
+
+
 def test_previous_running_value_shifted_into_table_index_0():
     f = compile_formula("once[0,inf) q")
     mon = Monitor(f, Y_GE_4)
@@ -195,7 +213,28 @@ def test_storage_never_grows():
     assert mon.table.shape == shape
 
 
-def test_engines_agree_cell_for_cell():
+def monitor_on(path, f, preds):
+    """A monitor whose rows take one path: "numpy" sends every row but an
+    unbounded since through the numpy kernels, "cr" fills every row cell
+    by cell through cr(), and "auto" keeps the thresholds."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path != "auto":
+            limit = 0 if path == "numpy" else INF
+            mp.setattr(monitor_module, "_VECTOR_CELLS", limit)
+            mp.setattr(monitor_module, "_VECTOR_WIDTH", limit)
+        return Monitor(f, preds)
+
+
+def assert_recomputed_cells_equal_cr(mon):
+    """Every cell the last step recomputed equals cr() over the table as
+    it stands: the numpy kernels against the per-cell definition."""
+    off = mon.history + 1
+    for k, row in enumerate(mon._rows):
+        for j in range(max(row.start, 1 - mon.i, -row.horizon), mon.horizon + 1):
+            assert mon.table[k, j + off] == mon.cr(k, j), (k, j)
+
+
+def test_numpy_rows_agree_with_cr_cell_for_cell():
     rng = random.Random(37)
     for _ in range(60):
         f = compile_formula(random_core_text(rng, max_depth=3, max_bound=6))
@@ -203,14 +242,15 @@ def test_engines_agree_cell_for_cell():
             continue
         preds = random_predicates(rng, f.atom_names)
         trace = random_trace(rng, [p.variable for p in preds.values()], rng.randint(f.horizon + 1, 25))
-        plain = Monitor(f, preds, engine="plain")
-        vector = Monitor(f, preds, engine="vector")
+        vector = monitor_on("numpy", f, preds)
+        plain = monitor_on("cr", f, preds)
+        assert all(row.vector != row.unbounded for row in vector._rows)
+        assert not any(row.vector for row in plain._rows)
         for i in range(len(trace.samples) - f.horizon):
             ahead = list(trace.samples[i + 1 : i + 1 + f.horizon])
-            out_p = plain.step(trace.samples[i], ahead)
-            out_v = vector.step(trace.samples[i], ahead)
-            assert out_p == out_v
-            assert np.array_equal(plain.table, vector.table, equal_nan=True)
+            assert vector.step(trace.samples[i], ahead) == plain.step(trace.samples[i], ahead)
+            assert np.array_equal(vector.table, plain.table)
+            assert_recomputed_cells_equal_cr(vector)
 
 
 @pytest.mark.parametrize("block", [3, 8, 25, 40])
@@ -230,8 +270,9 @@ def test_engines_agree_cell_for_cell():
     ],
 )
 def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
-    # _BLOCK elements per running-minimum block: with these, an update of
-    # more than a few cells spans several blocks, which the 1 << 20 default
+    # every row on numpy, each recomputed cell held to cr().  _BLOCK
+    # elements per running-minimum block: with these, an update of more
+    # than a few cells spans several blocks, which the 1 << 20 default
     # never does at the bounds of the other tests.  A block with at least as
     # many cells as window offsets is filled one offset at a time, a taller
     # one by accumulate: 3 and 8 give only tall blocks, 25 gives until[0,5]
@@ -242,14 +283,12 @@ def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
     f = compile_formula(text)
     preds = random_predicates(rng, f.atom_names)
     trace = random_trace(rng, sorted({p.variable for p in preds.values()}), f.history + f.horizon + 12)
-    plain = Monitor(f, preds, engine="plain")
-    vector = Monitor(f, preds, engine="vector")
+    mon = monitor_on("numpy", f, preds)
+    assert all(row.vector for row in mon._rows)
     for i in range(len(trace.samples) - f.horizon):
-        ahead = list(trace.samples[i + 1 : i + 1 + f.horizon])
-        assert plain.step(trace.samples[i], ahead) == vector.step(trace.samples[i], ahead)
-        assert np.array_equal(plain.table, vector.table)
-        for mon in (plain, vector):
-            assert (mon.table[:, mon.width + 1 :] == -INF).all()  # the pad is never written
+        mon.step(trace.samples[i], list(trace.samples[i + 1 : i + 1 + f.horizon]))
+        assert_recomputed_cells_equal_cr(mon)
+        assert (mon.table[:, mon.width + 1 :] == -INF).all()  # the pad is never written
 
 
 def test_defined_cells_match_reference_per_subformula():
@@ -364,8 +403,8 @@ def test_hold_predictions_match_reference_on_held_prefix():
     unbounded = 0
     for f, preds, trace in hold_cases(59, 120):
         unbounded += contains_unbounded_since(f)
-        for engine in ("plain", "vector"):
-            mon = Monitor(f, preds, engine=engine)
+        for path in ("cr", "numpy"):
+            mon = monitor_on(path, f, preds)
             for i, sample in enumerate(trace.samples):
                 out = mon.step(sample, [sample] * f.horizon)
                 assert out == offline_robustness(f, preds, held_prefix(trace, i, f.horizon), i)
@@ -397,8 +436,8 @@ class InterleavedSteps(RuleBasedStateMachine):
     output equals the reference on the valid steps alone, and a rejected
     step leaves the table and the step counter as they were."""
 
-    @initialize(seed=st.integers(0, 2**16), engine=st.sampled_from(("auto", "plain", "vector")))
-    def build(self, seed, engine):
+    @initialize(seed=st.integers(0, 2**16), path=st.sampled_from(("auto", "cr", "numpy")))
+    def build(self, seed, path):
         rng = random.Random(seed)
         f = compile_formula(random_core_text(rng, max_depth=3, max_bound=4))
         while not f.atom_names or f.horizon > 6:
@@ -406,7 +445,7 @@ class InterleavedSteps(RuleBasedStateMachine):
         self.formula = f
         self.preds = random_predicates(rng, f.atom_names)
         self.variables = sorted({p.variable for p in self.preds.values()})
-        self.mon = Monitor(f, self.preds, engine=engine)
+        self.mon = monitor_on(path, f, self.preds)
         self.samples = []
 
     def frontier(self, values):

@@ -142,7 +142,7 @@ def test_distance_is_lipschitz():
 
 
 PRED_TEXT = """
-# engine predicates
+# powertrain predicates
 ok  : 0.9 <= lam <= 1.1
 low : speed <= 120
 hot : temp >= 90.5   # inline comment
