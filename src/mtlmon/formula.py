@@ -26,7 +26,11 @@ Everything compiles down to a core of {true, atom, not, or, until,
 since} before monitoring.  Derived operators rewrite the usual way:
 ``next p == true until[1,1] p``, ``eventually[I] p == true until[I] p``,
 ``always[I] p == not eventually[I] not p``, mirrored for prev / once /
-historically via since, and ``p and q == not (not p or not q)``.
+historically via since, and ``p and q == not (not p or not q)``.  A
+``[0,0]`` window reads only its trigger at the current step, so
+``p until[0,0] q == q`` and ``p since[0,0] q == q``: no compiled node has
+an interval with upper bound 0, whichever of the six windowed operators
+was written.
 Double negations are dropped and structurally identical subterms are
 shared, so the compiled node array is a DAG of unique subformulas.
 
@@ -358,11 +362,12 @@ def _node_bounds(kind, interval, left, right) -> tuple[int, int]:
 
     An until's value at step i needs its trigger operand up to i+upper and
     its left operand up to i+upper-1.  Mirrored for a bounded since, which
-    looks back `upper` samples.  An unbounded since is evaluated by a
-    running recurrence, so it only looks back far enough to anchor the
-    recurrence: `lower` samples for the trigger and, because the recurrence
-    also consumes the left operand at the current step, max(lower,1)-1 for
-    the left operand.
+    looks back `upper` samples.  A [0,0] window compiles to its trigger, so
+    upper >= 1 here and neither bound is negative.  An unbounded since is
+    evaluated by a running recurrence, so it only looks back far enough to
+    anchor the recurrence: `lower` samples for the trigger and, because the
+    recurrence also consumes the left operand at the current step,
+    max(lower,1)-1 for the left operand.
     """
     if kind in (TRUE, ATOM):
         return 0, 0
@@ -373,13 +378,13 @@ def _node_bounds(kind, interval, left, right) -> tuple[int, int]:
     lo, up = interval.lower, interval.upper
     if kind == UNTIL:
         horizon = max(left.horizon + int(up) - 1, right.horizon + int(up))
-        return max(0, horizon), max(left.history, right.history)
+        return horizon, max(left.history, right.history)
     horizon = max(left.horizon, right.horizon)
     if up == math.inf:
         history = max(left.history + max(lo, 1) - 1, right.history + lo)
     else:
         history = max(left.history + int(up) - 1, right.history + int(up))
-    return horizon, max(0, history)
+    return horizon, history
 
 
 class _CoreBuilder:
@@ -422,9 +427,13 @@ class _CoreBuilder:
         return self.mk_not(self.mk_or(self.mk_not(m), self.mk_not(n)))
 
     def mk_until(self, m: int, n: int, interval: Interval) -> int:
+        if interval.upper == 0:
+            return n
         return self.intern(UNTIL, left=m, right=n, interval=interval)
 
     def mk_since(self, m: int, n: int, interval: Interval) -> int:
+        if interval.upper == 0:
+            return n
         return self.intern(SINCE, left=m, right=n, interval=interval)
 
     def lower(self, t: SurfaceNode) -> int:

@@ -5,14 +5,12 @@ column offsets j in [-history, horizon], where column 0 is the current
 step, negative columns are the stored past, and positive columns hold the
 supplied predictions.  One more column, -history-1, sits left of the
 window, and pad columns sit right of it: as many as the largest until
-upper bound in the formula (not the formula's horizon: an until[0,0]
-never reads its left operand, so (a until[4,4] a) until[0,0] c has
-horizon 3 and an inner window of 4).  An unbounded since keeps the
-running value of its recurrence (the paper's Pre) in the table: each
-step it restarts from the cell left of the first column it recomputes,
-which the shift has filled with a final value, in that extra column when
-the row starts at -history.  For why the history side is widened by the
-horizon, see Formula.history.
+upper bound in the formula, which is at most its horizon.  An unbounded
+since keeps the running value of its recurrence (the paper's Pre) in the
+table: each step it restarts from the cell left of the first column it
+recomputes, which the shift has filled with a final value, in that extra
+column when the row starts at -history.  For why the history side is
+widened by the horizon, see Formula.history.
 
 The table is updated incrementally.  A cell of row k at column j depends
 on samples up to absolute time i+j+horizon(k), where horizon(k) is the
@@ -35,6 +33,10 @@ Each step:
    writes,
 4. return the root row at column 0.
 
+Every row is written each step.  A [0,0] window compiles to its trigger
+(see formula.py), so no node needs more history than the root, and every
+row maintains the columns -horizon(k) to horizon that step 3 recomputes.
+
 The table starts at -inf, and two kinds of cell are never written.
 Cells whose absolute time i+j is negative: the update starts at column
 -i or later, and the shift keeps every cell at its absolute time, so it
@@ -50,13 +52,18 @@ its own seed (a maximum over nothing).  This makes warm-up steps agree
 exactly with evaluation on the finite prefix, and lets until and since
 rows pass plain table slices to one windowed kernel.
 
-Rows with large windows are filled through numpy kernels over whole
-slices; every other row is filled one cell at a time by cr(), the
-paper's per-cell recurrence.  An until or since row reads the same
-window slices on both paths (Monitor._window: forward for until,
-mirrored in time for since), and the two produce bit-identical results
-(min/max select, they never round).  An unbounded since always takes
-cr(): its running value is the cell it wrote one column to the left.
+A row is filled either through numpy over whole slices or one cell at a
+time by cr(), the paper's per-cell recurrence.  An atom, not, or or true
+row takes numpy exactly when a steady step recomputes more than one of
+its cells, which is when the formula has a horizon: one numpy call costs
+more than one cr() cell, but less than the 11 or more cells such a row
+recomputes in the future-looking benchmark workloads.  An until or
+bounded since row takes numpy when its cells times its window reach
+_VECTOR_CELLS.  An until or since row reads the same window slices on
+both paths (Monitor._window: forward for until, mirrored in time for
+since), and the two produce bit-identical results (min/max select, they
+never round).  An unbounded since always takes cr(): its running value
+is the cell it wrote one column to the left.
 Row k costs (horizon(k) + horizon + 1) cells per step, each linear in
 the row's window: quadratic in the window for future rows (template E's
 root spans [-H, H]), linear for past-only specifications, whose rows
@@ -94,16 +101,16 @@ from .semantics import (
 
 _BLOCK = 1 << 20      # elements per running-minimum block: caps its memory at 8 MB
 _VECTOR_CELLS = 4096  # windowed rows go through numpy above this many cell-ops
-_VECTOR_WIDTH = 64    # elementwise rows go through numpy above this width
 
 
 @dataclass(slots=True)
 class _Row:
     """How one table row is filled.  The window is [lo, up] with up an int;
     an unbounded since stores [lo, lo], the one disjunct that its running
-    value (the row's own cell one column to the left) does not cover.
-    vector rows are filled by numpy over whole slices, all others cell by
-    cell through Monitor.cr()."""
+    value (the row's own cell one column to the left) does not cover;
+    every until and bounded since has up >= 1.  vector rows are filled by
+    numpy over whole slices, all others cell by cell through Monitor.cr();
+    the module docstring says which rows are which."""
 
     kind: str
     left: int
@@ -163,7 +170,7 @@ class Monitor:
         elif node.kind in (UNTIL, SINCE):
             vector = self.width * (up - lo + 1) >= _VECTOR_CELLS
         else:
-            vector = self.width >= _VECTOR_WIDTH
+            vector = node.horizon + self.horizon > 0  # a steady step recomputes more than one cell
         pred = predicates[node.name] if node.kind == ATOM else None
         start = node.history - self.history
         return _Row(node.kind, node.left, node.right, lo, int(up), node.horizon, start, pred, unbounded, vector)
@@ -209,8 +216,6 @@ class Monitor:
         # columns left of -row.horizon read only actual samples, so the
         # shift has already put their final values there
         jlo = max(row.start, 1 - self.i, -row.horizon)
-        if jlo > self.horizon:
-            return
         T = self.table
         off = self.history + 1
         if not row.vector:
@@ -220,9 +225,10 @@ class Monitor:
         a, e = jlo + off, self.horizon + off + 1  # the pad right of the horizon is never written
         if row.kind == ATOM:
             xs = np.array(self._values[row.pred.variable], dtype=float)
-            d = np.minimum(xs - row.pred.lo, row.pred.hi - xs, out=T[k, a:e])
-            if row.pred.gain != 1.0:
-                d *= row.pred.gain
+            with np.errstate(over="ignore"):  # overflow to +-inf, silently as in cr()
+                d = np.minimum(xs - row.pred.lo, row.pred.hi - xs, out=T[k, a:e])
+                if row.pred.gain != 1.0:
+                    d *= row.pred.gain
         elif row.kind == TRUE:
             T[k, a:e] = POS_INF
         elif row.kind == NOT:
@@ -300,12 +306,12 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     """out[r] = max over w in [lo, up] of min(en[r + w - lo], pmin(em, r, w))
 
     where pmin(em, r, 0) = +inf and pmin(em, r, w) = min(em[r : r + w]).
-    Requires len(em) = count + up - 1 and len(en) = count + up - lo; for
-    up = 0 (so lo = 0) the only disjunct is en[r], and en[:count] is
-    returned as it is.  Monitor._window gives until forward table slices
-    and since the same slices reversed; Monitor.cr() evaluates this formula
-    for one cell (count = 1).  Entries past the horizon are the table's
-    -inf pad, so a window running off the horizon only adds -inf disjuncts.
+    Requires up >= 1 (a [0,0] window compiles to its trigger), len(em) =
+    count + up - 1 and len(en) = count + up - lo.  Monitor._window gives
+    until forward table slices and since the same slices reversed;
+    Monitor.cr() evaluates this formula for one cell (count = 1).  Entries
+    past the horizon are the table's -inf pad, so a window running off the
+    horizon only adds -inf disjuncts.
 
     The running minima are stored transposed, c[w - 1, r] = pmin(em, r, w)
     for w in [1, up], which keeps the work quadratic in the window like the
@@ -338,8 +344,6 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     and the kernel's slope over criterion 4's sweep falls to about 1.4,
     below the range the criterion checks.
     """
-    if up == 0:
-        return en[:count]
     first = max(lo, 1)  # smallest w whose disjunct reads a running minimum
     out = np.empty(count)
     vm = np.lib.stride_tricks.sliding_window_view(em, up)

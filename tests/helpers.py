@@ -154,7 +154,9 @@ def surface_horizon(tree: SurfaceNode) -> int:
         return kids[0] + int(tree.interval.upper)
     if op == "until":
         up = int(tree.interval.upper)
-        return max(0, max(kids[0] + up - 1, kids[1] + up))
+        if up == 0:  # reads only its trigger, at the current step
+            return kids[1]
+        return max(kids[0] + up - 1, kids[1] + up)
     raise ValueError(op)
 
 
@@ -175,6 +177,8 @@ def surface_history(tree: SurfaceNode) -> int:
         return kids[0] + (lo if up == math.inf else int(up))
     # since
     lo, up = tree.interval.lower, tree.interval.upper
+    if up == 0:  # reads only its trigger, at the current step
+        return kids[1]
     if up == math.inf:
-        return max(0, kids[0] + max(lo, 1) - 1, kids[1] + lo)
-    return max(0, kids[0] + int(up) - 1, kids[1] + int(up))
+        return max(kids[0] + max(lo, 1) - 1, kids[1] + lo)
+    return max(kids[0] + int(up) - 1, kids[1] + int(up))

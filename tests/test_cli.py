@@ -137,6 +137,16 @@ def test_monitor_none_predictor_needs_zero_horizon(tmp_path):
     assert main(monitor_args(f, p, t, out, predictor="none")) == 1
 
 
+def test_monitor_zero_window_needs_no_predictions(tmp_path):
+    # the [0,0] root reads only c now: no horizon, so every step is written
+    trace = "time,x,y\n" + "".join(f"{k * 0.1!r},{k}.0,{3 - k}.0\n" for k in range(6))
+    f, p, t, out = setup_run(tmp_path, "(a until[4,4] a) until[0,0] c", "a : x >= 0\nc : y >= 0\n", trace)
+    assert main(monitor_args(f, p, t, out)) == 0
+    assert read_values(out) == [3.0, 2.0, 1.0, 0.0, -1.0, -2.0]
+    assert main(monitor_args(f, p, t, out, predictor="none")) == 0
+    assert read_values(out) == [3.0, 2.0, 1.0, 0.0, -1.0, -2.0]
+
+
 def test_monitor_seconds_units(tmp_path):
     trace = "time,x\n" + "".join(f"{k * 0.5!r},{v}\n" for k, v in enumerate([-1.0, -2.0, 3.0, -4.0, -5.0]))
     f, p, t, out = setup_run(tmp_path, "eventually[0,1] p", "p : x >= 0\n", trace)

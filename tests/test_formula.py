@@ -129,6 +129,14 @@ def test_desugar_next_prev():
     assert g.nodes[0].kind == SINCE and g.nodes[0].interval == Interval(1, 1)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["p until[0,0] q", "p since[0,0] q", "eventually[0,0] q", "always[0,0] q", "once[0,0] q", "historically[0,0] q"],
+)
+def test_desugar_zero_window_to_its_trigger(text):
+    assert compile_formula(text) == compile_formula("q")
+
+
 def test_desugar_false():
     f = compile_formula("false")
     assert [n.kind for n in f.nodes] == [NOT, TRUE]
@@ -198,3 +206,7 @@ def test_bounds_agree_between_surface_and_core():
         f = desugar(tree)
         assert f.horizon == surface_horizon(tree)
         assert f.core_history == surface_history(tree)
+        # no [0,0] window survives, so no node needs more history than the
+        # root and every monitor row is written each step
+        assert all(n.interval is None or n.interval.upper >= 1 for n in f.nodes)
+        assert all(n.history <= f.core_history for n in f.nodes)

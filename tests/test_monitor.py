@@ -17,7 +17,7 @@ from mtlmon import (
     offline_robustness_series,
 )
 from mtlmon import monitor as monitor_module
-from mtlmon.formula import SINCE, UNTIL
+from mtlmon.formula import ATOM, SINCE, UNTIL, CoreNode, Formula, Interval
 from mtlmon.oracle import Trace
 
 from helpers import contains_unbounded_since, perfect_series, random_core_text, random_predicates, random_trace
@@ -216,13 +216,27 @@ def test_storage_never_grows():
 def monitor_on(path, f, preds):
     """A monitor whose rows take one path: "numpy" sends every row but an
     unbounded since through the numpy kernels, "cr" fills every row cell
-    by cell through cr(), and "auto" keeps the thresholds."""
-    with pytest.MonkeyPatch.context() as mp:
-        if path != "auto":
-            limit = 0 if path == "numpy" else INF
-            mp.setattr(monitor_module, "_VECTOR_CELLS", limit)
-            mp.setattr(monitor_module, "_VECTOR_WIDTH", limit)
-        return Monitor(f, preds)
+    by cell through cr(), and "auto" keeps the routing the monitor chose."""
+    mon = Monitor(f, preds)
+    if path != "auto":
+        for row in mon._rows:
+            row.vector = path == "numpy" and not row.unbounded
+    return mon
+
+
+@pytest.mark.parametrize(
+    "text, vector",
+    [
+        ("p or historically[0,300] q", False),  # past-only: one cell per row and step
+        ("eventually[0,3] p", True),  # 4 cells per elementwise row and step
+    ],
+)
+def test_elementwise_rows_take_numpy_when_a_step_recomputes_several_cells(text, vector):
+    f = compile_formula(text)
+    mon = Monitor(f, {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)})
+    elementwise = [row for row in mon._rows if row.kind not in (UNTIL, SINCE)]
+    assert len(elementwise) >= 2
+    assert all(row.vector == vector for row in elementwise)
 
 
 def assert_recomputed_cells_equal_cr(mon):
@@ -266,7 +280,7 @@ def test_numpy_rows_agree_with_cr_cell_for_cell():
         "eventually[0,9] (a since[0,3] b)",  # since rows with count 10 > window 4
         "eventually[0,9] (a since[1,3] b)",
         "eventually[0,9] (a since[3,3] b)",
-        "(a until[4,4] a) until[0,0] c",  # pad 4 exceeds the horizon 3
+        "(a until[4,4] a) until[1,1] c",  # the inner window runs 4 columns into the pad
     ],
 )
 def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
@@ -314,21 +328,30 @@ def test_defined_cells_match_reference_per_subformula():
     assert checked > 2000
 
 
-def test_dead_row_is_never_filled_or_reported():
-    # the S[0,0] root never reads its left operand, whose maintained
-    # columns would start at 1, past the horizon 0
-    f = compile_formula("(p S[1,inf) q) S[0,0] r")
-    dead = next(k for k, n in enumerate(f.nodes) if n.kind == SINCE and n.interval.upper == INF)
-    assert f.nodes[dead].history - f.history > f.horizon
+@pytest.mark.parametrize(
+    "text, nodes",
+    [
+        ("(p S[1,inf) q) S[0,0] r", [(SINCE, 1, 4, Interval(0, 0)), (SINCE, 2, 3, Interval(1, INF)), "p", "q", "r"]),
+        ("(a until[4,4] a) until[0,0] c", [(UNTIL, 1, 3, Interval(0, 0)), (UNTIL, 2, 2, Interval(4, 4)), "a", "c"]),
+    ],
+    ids=["since", "until"],
+)
+def test_zero_window_compiles_to_its_trigger(text, nodes):
+    # a [0,0] window reads only its trigger at the current step
+    f = compile_formula(text)
+    assert f == compile_formula(nodes[-1])
+    # the oracle on a formula that keeps the [0,0] node agrees (it reads
+    # no horizon or history annotation, so none is given)
+    kept = Formula(
+        tuple(CoreNode(ATOM, name=n) if isinstance(n, str) else CoreNode(*n) for n in nodes),
+        frozenset(n for n in nodes if isinstance(n, str)),
+    )
     rng = random.Random(67)
-    preds = random_predicates(rng, f.atom_names)
-    trace = random_trace(rng, sorted({p.variable for p in preds.values()}), 40)
-    mon = Monitor(f, preds)
-    outs = []
-    for sample in trace.samples:
-        outs.append(mon.step(sample))
-        assert all(mon.cell(dead, j) is None for j in range(-f.history, f.horizon + 1))
-    assert outs == offline_robustness_series(f, preds, trace)
+    for _ in range(5):
+        preds = random_predicates(rng, kept.atom_names)
+        trace = random_trace(rng, sorted({p.variable for p in preds.values()}), 40)
+        mon = Monitor(f, preds)
+        assert [mon.step(sample) for sample in trace.samples] == offline_robustness_series(kept, preds, trace)
 
 
 def test_single_sample_stream():
@@ -372,6 +395,20 @@ def test_rejected_prediction_leaves_monitor_unchanged():
     with pytest.raises(KeyError, match="unknown variable 'x'"):
         mon.step(x_sample(2.0), [StateSample({"y": 3.0}), x_sample(4.0)])
     assert (mon.table.tobytes(), mon.i) == before
+
+
+@pytest.mark.parametrize(
+    "pred", [Predicate("p", "x", lo=-1e308), Predicate("p", "x", lo=0.0, gain=10.0)], ids=["subtract", "gain"]
+)
+def test_numpy_atom_row_overflows_to_inf_silently(pred):
+    # cr() overflows a signed distance to inf without a warning, and so
+    # does the numpy atom row; a RuntimeWarning fails the test
+    f = compile_formula("eventually[0,70] p")
+    mon = Monitor(f, {"p": pred})
+    atom = next(k for k, n in enumerate(f.nodes) if n.kind == "atom")
+    assert mon._rows[atom].vector
+    assert mon.step(x_sample(1e308), [x_sample(1e308)] * 70) == INF
+    assert mon.cell(atom, 0) == INF
 
 
 def test_step_ignores_variables_the_formula_does_not_read():
