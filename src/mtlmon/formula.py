@@ -74,9 +74,9 @@ class Interval:
     upper: int | float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lower, int) or self.lower < 0:
+        if not _natural(self.lower):
             raise ValueError(f"interval lower bound must be a natural number, got {self.lower!r}")
-        if self.upper != math.inf and (not isinstance(self.upper, int) or self.upper < 0):
+        if self.upper != math.inf and not _natural(self.upper):
             raise ValueError(f"interval upper bound must be a natural number or inf, got {self.upper!r}")
         if self.lower > self.upper:
             raise ValueError(f"empty interval [{self.lower},{self.upper}]")
@@ -89,6 +89,10 @@ class Interval:
         if self.upper == math.inf:
             return f"[{self.lower},inf)"
         return f"[{self.lower},{self.upper}]"
+
+
+def _natural(bound: object) -> bool:
+    return isinstance(bound, int) and not isinstance(bound, bool) and bound >= 0
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,9 @@ from .semantics import (
 class Trace:
     """Uniformly sampled sequence of state samples.
 
-    delta_t is the sampling period; None is allowed only for traces of at
-    most one sample, where no period can be inferred.  Timestamps must be uniform to
-    a relative tolerance of 1e-6.
+    delta_t is the sampling period, positive and finite; None is allowed
+    only for traces of at most one sample, where no period can be inferred.
+    Timestamps must be finite and uniform to a relative tolerance of 1e-6.
     """
 
     samples: tuple[StateSample, ...]
@@ -45,9 +45,12 @@ class Trace:
     def __post_init__(self) -> None:
         if self.delta_t is None and len(self.samples) > 1:
             raise ValueError(f"sampling period missing for a trace of {len(self.samples)} samples")
+        bad = next((k for k, s in enumerate(self.samples) if not math.isfinite(s.time)), None)
+        if bad is not None:
+            raise ValueError(f"non-finite time {self.samples[bad].time} at row {bad}")
         if self.delta_t is not None:
-            if not self.delta_t > 0:
-                raise ValueError(f"sampling period must be positive, got {self.delta_t}")
+            if not 0 < self.delta_t < math.inf:
+                raise ValueError(f"sampling period must be positive and finite, got {self.delta_t}")
             tol = 1e-6 * self.delta_t
             for k in range(1, len(self.samples)):
                 gap = self.samples[k].time - self.samples[k - 1].time

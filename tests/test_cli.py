@@ -108,12 +108,16 @@ def test_monitor_exit_codes(tmp_path):
     [
         ("trace", b"time,x\n0.0,1\n0.1,\xff\n", 3),
         ("trace", b"time,x\n0.0,1\n0.1," + b"1" * 140000 + b"\n", 3),  # over csv's field limit
+        ("trace", b"time,x\n-1e308,1\n1e308,1\n", 3),  # the period overflows to inf
         ("formula", b"p or \xff", 4),
         ("predicates", b"p : x >= 0  # \xff\n", 4),
         ("formula", b"(" * 170 + b"p" + b")" * 170, 4),  # nested past the recursion limit
         ("formula", b"not " * 990 + b"p", 4),
     ],
-    ids=["trace-not-utf8", "trace-field-over-limit", "formula-not-utf8", "predicates-not-utf8", "parens", "nots"],
+    ids=[
+        "trace-not-utf8", "trace-field-over-limit", "trace-period-inf",
+        "formula-not-utf8", "predicates-not-utf8", "parens", "nots",
+    ],
 )
 def test_monitor_rejects_bad_files_in_one_line(tmp_path, capsys, which, content, code):
     files = dict(zip(("formula", "predicates", "trace"), setup_run(tmp_path, "p", "p : x >= 0\n", "time,x\n0.0,1\n")))

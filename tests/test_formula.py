@@ -99,6 +99,10 @@ def test_parse_rejects_reserved_atom():
 def test_interval_validation():
     with pytest.raises(ValueError, match="empty interval"):
         Interval(3, 1)
+    with pytest.raises(ValueError, match="lower bound must be a natural number, got True"):
+        Interval(True, 2)
+    with pytest.raises(ValueError, match="upper bound must be a natural number or inf, got True"):
+        Interval(0, True)
     assert Interval(0, math.inf).upper_closed is False
     assert Interval(0, 4).upper_closed is True
 

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,18 +293,46 @@ def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
     # many cells as window offsets is filled one offset at a time, a taller
     # one by accumulate: 3 and 8 give only tall blocks, 25 gives until[0,5]
     # two wide blocks of 5 cells and a last one of 1, and 40 puts every
-    # window of 3 in one wide block
+    # window of 3 in one wide block.  A wide block holds _CHUNK // cells
+    # offsets at a time (at least one), each chunk continuing from the last
+    # one's final row: 1 gives one-row chunks; with 16, 5-cell blocks take
+    # chunks of 3 offsets, which do not divide until[0,5]'s window and hold
+    # until[2,5]'s first disjunct inside the first chunk, and until[3,3]'s
+    # 7 cells take chunks of 2, the second starting at its one disjunct;
+    # with 25, the 10-cell since rows take chunks of 2, so since[3,3]'s
+    # disjunct starts the second.  The default puts every window in one chunk
     monkeypatch.setattr(monitor_module, "_BLOCK", block)
-    rng = random.Random(block)
     f = compile_formula(text)
-    preds = random_predicates(rng, f.atom_names)
-    trace = random_trace(rng, sorted({p.variable for p in preds.values()}), f.history + f.horizon + 12)
-    mon = monitor_on("numpy", f, preds)
-    assert all(row.vector for row in mon._rows)
-    for i in range(len(trace.samples) - f.horizon):
-        mon.step(trace.samples[i], list(trace.samples[i + 1 : i + 1 + f.horizon]))
-        assert_recomputed_cells_equal_cr(mon)
-        assert (mon.table[:, mon.width + 1 :] == -INF).all()  # the pad is never written
+    for chunk in (1, 16, 25, monitor_module._CHUNK):
+        monkeypatch.setattr(monitor_module, "_CHUNK", chunk)
+        rng = random.Random(block)
+        preds = random_predicates(rng, f.atom_names)
+        trace = random_trace(rng, sorted({p.variable for p in preds.values()}), f.history + f.horizon + 12)
+        mon = monitor_on("numpy", f, preds)
+        assert all(row.vector for row in mon._rows)
+        for i in range(len(trace.samples) - f.horizon):
+            mon.step(trace.samples[i], list(trace.samples[i + 1 : i + 1 + f.horizon]))
+            assert_recomputed_cells_equal_cr(mon)
+            assert (mon.table[:, mon.width + 1 :] == -INF).all()  # the pad is never written
+
+
+def test_wide_until_step_holds_one_chunk_of_running_minima():
+    # template E at H = 500: a steady step recomputes 1001 until cells over
+    # 500 offsets, a 4 MB block of running minima if it were held at once
+    f = compile_formula("p0 -> eventually[0,500] p1")
+    preds = {p: Predicate(p, p, lo=-5.0, hi=5.0) for p in ("p0", "p1")}
+    rng = random.Random(11)
+    samples = [StateSample({"p0": rng.uniform(-6, 6), "p1": rng.uniform(-6, 6)}, k * 0.01) for k in range(1002)]
+    mon = Monitor(f, preds)
+    for i in range(f.history + 1):
+        mon.step(samples[i], samples[i + 1 : i + 501])
+    tracemalloc.start()
+    try:
+        mon.step(samples[f.history + 1], samples[f.history + 2 : f.history + 502])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_defined_cells_match_reference_per_subformula():
@@ -378,11 +408,11 @@ def test_rejected_step_leaves_monitor_unchanged():
     before = (mon.table.tobytes(), mon.i)
     with pytest.raises(KeyError, match="unknown variable 'y'"):
         mon.step(StateSample({"x": 8.0}, 0.1))
-    for bad in (math.nan, INF):
-        with pytest.raises(ValueError, match="non-finite value"):
+    for bad in (math.nan, INF, "1.0", None, 10**400, True):
+        with pytest.raises(ValueError, match=re.escape(f"value {bad!r} of variable 'x' in sample at t=0.1 is not")):
             mon.step(StateSample({"x": bad, "y": 0.0}, 0.1))
-    assert (mon.table.tobytes(), mon.i) == before
-    assert mon.step(StateSample({"x": 3.0, "y": 0.0}, 0.1)) == 1.0
+        assert (mon.table.tobytes(), mon.i) == before
+    assert mon.step(StateSample({"x": 3, "y": np.float32(0.0)}, 0.1)) == 1.0  # other reals pass
 
 
 def test_rejected_prediction_leaves_monitor_unchanged():
@@ -390,7 +420,7 @@ def test_rejected_prediction_leaves_monitor_unchanged():
     mon = Monitor(f, X_GE_0)
     mon.step(x_sample(1.0), [x_sample(2.0), x_sample(3.0)])
     before = (mon.table.tobytes(), mon.i)
-    with pytest.raises(ValueError, match="non-finite value"):
+    with pytest.raises(ValueError, match="not a finite real number"):
         mon.step(x_sample(2.0), [x_sample(3.0), x_sample(math.nan)])
     with pytest.raises(KeyError, match="unknown variable 'x'"):
         mon.step(x_sample(2.0), [StateSample({"y": 3.0}), x_sample(4.0)])

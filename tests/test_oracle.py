@@ -173,6 +173,20 @@ def test_trace_rejects_non_uniform_times():
         Trace(samples, 0.1)
 
 
+@pytest.mark.parametrize(
+    "times, delta_t, message",
+    [
+        ([math.nan], None, "non-finite time nan at row 0"),
+        ([0.0, math.nan, 0.2], 0.1, "non-finite time nan at row 1"),
+        ([0.0, 0.1], math.inf, "sampling period must be positive and finite, got inf"),
+    ],
+    ids=["nan-single", "nan-middle", "inf-period"],
+)
+def test_trace_rejects_non_finite_times_and_period(times, delta_t, message):
+    with pytest.raises(ValueError, match=message):
+        Trace(tuple(StateSample({"x": 0.0}, t) for t in times), delta_t)
+
+
 def test_trace_requires_period_for_several_samples():
     samples = (StateSample({"x": 0.0}, 0.0), StateSample({"x": 0.0}, 7.0))
     with pytest.raises(ValueError, match="sampling period missing"):
