@@ -31,6 +31,7 @@ import numpy as np
 
 from .formula import Formula, Interval, ParseError, SurfaceNode, desugar, parse_formula
 from .monitor import Monitor
+from .oracle import Trace
 from .semantics import Predicate, PredicateError, StateSample, parse_predicates
 from .traceio import (
     ConfigError,
@@ -75,6 +76,16 @@ def intervals_to_samples(tree: SurfaceNode, delta_t: float) -> SurfaceNode:
     return replace(tree, children=children, interval=interval)
 
 
+def _monitor_rows(mon: Monitor, trace: Trace, mode: PredictorMode, steps: int) -> list[tuple[int, float, float]]:
+    """Step the monitor through the first `steps` samples of the trace under
+    the given predictor; one output row (index, time, robustness) per step."""
+    rows = []
+    for i in range(steps):
+        ahead = predict(mode, trace, i, mon.horizon)
+        rows.append((i, trace.samples[i].time, mon.step(trace.samples[i], ahead)))
+    return rows
+
+
 def run_monitor(config: RunConfig) -> tuple[int, list[tuple[int, float, float]]]:
     """Stream the configured trace through the monitor.
 
@@ -104,14 +115,10 @@ def run_monitor(config: RunConfig) -> tuple[int, list[tuple[int, float, float]]]
             var = predicates[name].variable
             if var not in trace.samples[0].values:
                 raise TraceError(f"trace has no column {var!r} (read by predicate {name!r})")
+    steps = len(trace.samples)
     if config.predictor is PredictorMode.PERFECT:
-        last = len(trace.samples) - 1 - formula.horizon
-    else:
-        last = len(trace.samples) - 1
-    rows = []
-    for i in range(last + 1):
-        ahead = predict(config.predictor, trace, i, formula.horizon)
-        rows.append((i, trace.samples[i].time, mon.step(trace.samples[i], ahead)))
+        steps -= formula.horizon
+    rows = _monitor_rows(mon, trace, config.predictor, steps)
     write_robustness_csv(config.out_path, rows)
     if config.fail_on_violation and any(value < 0 for _, _, value in rows):
         return 2, rows
@@ -276,12 +283,7 @@ def run_case_study(
     trace = gen_case_study_trace(excursion_start, excursion_len, total, delta_t)
     formula = desugar(parse_formula(case_study_formula(variant, delta_t)))
     mode = PredictorMode.NONE if formula.horizon == 0 else PredictorMode.HOLD
-    mon = Monitor(formula, case_study_predicates())
-    rows = []
-    for i, sample in enumerate(trace.samples):
-        ahead = predict(mode, trace, i, formula.horizon)
-        rows.append((i, sample.time, mon.step(sample, ahead)))
-    return rows
+    return _monitor_rows(Monitor(formula, case_study_predicates()), trace, mode, len(trace.samples))
 
 
 # ---------------------------------------------------------------------------

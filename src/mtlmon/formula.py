@@ -23,10 +23,19 @@ eventually, always, next) must carry finite upper bounds; the since
 family may be unbounded.
 
 Everything compiles down to a core of {true, atom, not, or, until,
-since} before monitoring.  Derived operators rewrite the usual way:
-``next p == true until[1,1] p``, ``eventually[I] p == true until[I] p``,
-``always[I] p == not eventually[I] not p``, mirrored for prev / once /
-historically via since, and ``p and q == not (not p or not q)``.  A
+since} before monitoring.  Each temporal operator has one entry in
+``_TEMPORAL``: its spellings, its core kind and its shape, which is one of
+four rewrites, written for the future operator and mirrored for the past
+one via since:
+
+* until:      ``p until[I] q`` is a core node (mirror: since),
+* next:       ``next p == true until[1,1] p`` (mirror: prev),
+* eventually: ``eventually[I] p == true until[I] p`` (mirror: once),
+* always:     ``always[I] p == not eventually[I] not p`` (mirror:
+  historically).
+
+The boolean ones rewrite the usual way: ``p and q == not (not p or not
+q)``, ``p -> q == not p or q`` and ``false == not true``.  A
 ``[0,0]`` window reads only its trigger at the current step, so
 ``p until[0,0] q == q`` and ``p since[0,0] q == q``: no compiled node has
 an interval with upper bound 0, whichever of the six windowed operators
@@ -43,7 +52,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 TRUE = "true"
 ATOM = "atom"
@@ -52,10 +62,35 @@ OR = "or"
 UNTIL = "until"
 SINCE = "since"
 
-_RESERVED = {
-    "true", "false", "not", "and", "or", "until", "since",
-    "eventually", "always", "once", "historically", "next", "prev", "inf",
+
+class _Temporal(NamedTuple):
+    """Table entry of a temporal surface operator.
+
+    The parser, the printer and the compiler all read the entry.  The
+    shape names the future member of the operator's mirror pair (the four
+    rewrites in the module docstring).  The future operator compiles to
+    until and needs a bounded interval; its past mirror compiles to since
+    and may be unbounded.
+    """
+
+    symbols: tuple[str, ...]  # spellings besides the operator's name
+    kind: str  # UNTIL or SINCE
+    shape: str  # "until", "next", "eventually" or "always"
+
+
+# keyed by the name the parser gives the node and the printer writes
+_TEMPORAL = {
+    "until": _Temporal(("U",), UNTIL, "until"),
+    "since": _Temporal(("S",), SINCE, "until"),
+    "next": _Temporal((), UNTIL, "next"),
+    "prev": _Temporal((), SINCE, "next"),
+    "eventually": _Temporal(("<>",), UNTIL, "eventually"),
+    "once": _Temporal(("<*>",), SINCE, "eventually"),
+    "always": _Temporal(("[]",), UNTIL, "always"),
+    "historically": _Temporal(("[*]",), SINCE, "always"),
 }
+_SPELLINGS = {s: name for name, op in _TEMPORAL.items() for s in (name, *op.symbols)}
+_RESERVED = {"true", "false", "not", "and", "or", "inf", *_TEMPORAL}
 
 
 class ParseError(ValueError):
@@ -80,10 +115,6 @@ class Interval:
             raise ValueError(f"interval upper bound must be a natural number or inf, got {self.upper!r}")
         if self.lower > self.upper:
             raise ValueError(f"empty interval [{self.lower},{self.upper}]")
-
-    @property
-    def upper_closed(self) -> bool:
-        return self.upper != math.inf
 
     def __str__(self) -> str:
         if self.upper == math.inf:
@@ -225,34 +256,30 @@ class _Parser:
             node = SurfaceNode("and", (node, self.binary()))
         return node
 
+    def temporal(self, binary: bool) -> str | None:
+        """Take a temporal operator of the given arity; return its name."""
+        name = _SPELLINGS.get(self.peek()[1])
+        if name is None or (_TEMPORAL[name].shape == "until") != binary:
+            return None
+        self.idx += 1
+        return name
+
     def binary(self) -> SurfaceNode:
         left = self.unary()
-        if self.at("U", "until"):
-            self.take()
-            iv = self.interval(allow_unbounded=False, op="until")
-            return SurfaceNode("until", (left, self.unary()), iv)
-        if self.at("S", "since"):
-            self.take()
-            iv = self.interval(allow_unbounded=True, op="since")
-            return SurfaceNode("since", (left, self.unary()), iv)
-        return left
+        name = self.temporal(binary=True)
+        if name is None:
+            return left
+        iv = self.interval(name)
+        return SurfaceNode(name, (left, self.unary()), iv)
 
     def unary(self) -> SurfaceNode:
         if self.match("not", "!"):
             return SurfaceNode("not", (self.unary(),))
-        for word, sym in (("eventually", "<>"), ("always", "[]")):
-            if self.match(word, sym):
-                iv = self.interval(allow_unbounded=False, op=word)
-                return SurfaceNode(word, (self.unary(),), iv)
-        for word, sym in (("once", "<*>"), ("historically", "[*]")):
-            if self.match(word, sym):
-                iv = self.interval(allow_unbounded=True, op=word)
-                return SurfaceNode(word, (self.unary(),), iv)
-        if self.match("next"):
-            return SurfaceNode("next", (self.unary(),))
-        if self.match("prev"):
-            return SurfaceNode("prev", (self.unary(),))
-        return self.primary()
+        name = self.temporal(binary=False)
+        if name is None:
+            return self.primary()
+        iv = None if _TEMPORAL[name].shape == "next" else self.interval(name)
+        return SurfaceNode(name, (self.unary(),), iv)
 
     def primary(self) -> SurfaceNode:
         if self.match("("):
@@ -269,14 +296,14 @@ class _Parser:
             return SurfaceNode("atom", name=text)
         raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
 
-    def interval(self, allow_unbounded: bool, op: str) -> Interval:
+    def interval(self, op: str) -> Interval:
         _, _, open_pos = self.peek()
         self.expect("[", "'[' opening an interval")
         lower = self.nat()
         self.expect(",", "','")
         if self.at("inf"):
             _, _, pos = self.take()
-            if not allow_unbounded:
+            if _TEMPORAL[op].kind == UNTIL:
                 raise ParseError(f"unbounded future interval on {op!r}", pos)
             self.expect(")", "')' closing an unbounded interval")
             return Interval(lower, math.inf)
@@ -310,16 +337,8 @@ def parse_formula(text: str) -> SurfaceNode:
 # ---------------------------------------------------------------------------
 # Pretty printer (inverse of parse_formula up to tree equality)
 
-_LEVEL = {
-    "implies": 0,
-    "or": 1,
-    "and": 2,
-    "until": 3,
-    "since": 3,
-    "not": 4, "eventually": 4, "always": 4, "once": 4, "historically": 4,
-    "next": 4, "prev": 4,
-    "atom": 5, "true": 5, "false": 5,
-}
+_LEVEL = {"implies": 0, "or": 1, "and": 2, "not": 4, "atom": 5, "true": 5, "false": 5}
+_LEVEL.update((name, 3 if op.shape == "until" else 4) for name, op in _TEMPORAL.items())
 
 
 def format_formula(tree: SurfaceNode) -> str:
@@ -333,15 +352,11 @@ def _fmt(node: SurfaceNode, need: int) -> str:
         text = node.name
     elif op in ("true", "false"):
         text = op
-    elif op == "not":
-        text = f"not {_fmt(node.children[0], 4)}"
-    elif op in ("next", "prev"):
-        text = f"{op} {_fmt(node.children[0], 4)}"
-    elif op in ("eventually", "always", "once", "historically"):
-        text = f"{op}{node.interval} {_fmt(node.children[0], 4)}"
-    elif op in ("until", "since"):
-        left, right = node.children
-        text = f"{_fmt(left, 4)} {op}{node.interval} {_fmt(right, 4)}"
+    elif op == "not" or op in _TEMPORAL:  # prefix; until and since also take a left operand
+        head = op if node.interval is None else f"{op}{node.interval}"
+        text = f"{head} {_fmt(node.children[-1], 4)}"
+        if len(node.children) == 2:
+            text = f"{_fmt(node.children[0], 4)} {text}"
     elif op == "and":
         left, right = node.children
         text = f"{_fmt(left, 2)} and {_fmt(right, 3)}"
@@ -430,15 +445,11 @@ class _CoreBuilder:
     def mk_and(self, m: int, n: int) -> int:
         return self.mk_not(self.mk_or(self.mk_not(m), self.mk_not(n)))
 
-    def mk_until(self, m: int, n: int, interval: Interval) -> int:
+    def mk_window(self, kind: str, m: int, n: int, interval: Interval) -> int:
+        """Until or since node; a [0,0] window reads only its trigger n."""
         if interval.upper == 0:
             return n
-        return self.intern(UNTIL, left=m, right=n, interval=interval)
-
-    def mk_since(self, m: int, n: int, interval: Interval) -> int:
-        if interval.upper == 0:
-            return n
-        return self.intern(SINCE, left=m, right=n, interval=interval)
+        return self.intern(kind, left=m, right=n, interval=interval)
 
     def lower(self, t: SurfaceNode) -> int:
         op = t.op
@@ -456,25 +467,16 @@ class _CoreBuilder:
             return self.mk_and(self.lower(t.children[0]), self.lower(t.children[1]))
         if op == "implies":
             return self.mk_or(self.mk_not(self.lower(t.children[0])), self.lower(t.children[1]))
-        if op == "until":
-            return self.mk_until(self.lower(t.children[0]), self.lower(t.children[1]), t.interval)
-        if op == "since":
-            return self.mk_since(self.lower(t.children[0]), self.lower(t.children[1]), t.interval)
-        if op == "next":
-            return self.mk_until(self.mk_true(), self.lower(t.children[0]), Interval(1, 1))
-        if op == "eventually":
-            return self.mk_until(self.mk_true(), self.lower(t.children[0]), t.interval)
-        if op == "always":
-            inner = self.mk_until(self.mk_true(), self.mk_not(self.lower(t.children[0])), t.interval)
+        if op not in _TEMPORAL:
+            raise ValueError(f"unknown operator {op!r}")
+        _, kind, shape = _TEMPORAL[op]
+        if shape == "until":
+            return self.mk_window(kind, self.lower(t.children[0]), self.lower(t.children[1]), t.interval)
+        if shape == "always":
+            inner = self.mk_window(kind, self.mk_true(), self.mk_not(self.lower(t.children[0])), t.interval)
             return self.mk_not(inner)
-        if op == "prev":
-            return self.mk_since(self.mk_true(), self.lower(t.children[0]), Interval(1, 1))
-        if op == "once":
-            return self.mk_since(self.mk_true(), self.lower(t.children[0]), t.interval)
-        if op == "historically":
-            inner = self.mk_since(self.mk_true(), self.mk_not(self.lower(t.children[0])), t.interval)
-            return self.mk_not(inner)
-        raise ValueError(f"unknown operator {op!r}")
+        interval = Interval(1, 1) if shape == "next" else t.interval
+        return self.mk_window(kind, self.mk_true(), self.lower(t.children[0]), interval)
 
 
 def desugar(tree: SurfaceNode) -> Formula:
@@ -484,38 +486,21 @@ def desugar(tree: SurfaceNode) -> Formula:
         root = builder.lower(tree)
     except RecursionError:  # only from a tree built by hand: parsing takes more frames per level
         raise ParseError("formula nested too deeply to compile", 0) from None
-    # drop subterms orphaned by double-negation elimination, then renumber
-    # so the root is index 0 and operands sit at strictly larger indices
-    reachable: set[int] = set()
-    stack = [root]
-    while stack:
-        idx = stack.pop()
-        if idx in reachable:
-            continue
-        reachable.add(idx)
-        node = builder.entries[idx]
-        if node.left >= 0:
-            stack.append(node.left)
-        if node.right >= 0:
-            stack.append(node.right)
-    keep = sorted(reachable)  # still children-before-parents
-    renumber = {old: len(keep) - 1 - pos for pos, old in enumerate(keep)}
-    nodes = [None] * len(keep)
-    atom_names = set()
-    for old in keep:
-        node = builder.entries[old]
-        if node.kind == ATOM:
-            atom_names.add(node.name)
-        nodes[renumber[old]] = CoreNode(
-            node.kind,
-            renumber[node.left] if node.left >= 0 else -1,
-            renumber[node.right] if node.right >= 0 else -1,
-            node.interval,
-            node.name,
-            node.horizon,
-            node.history,
-        )
-    return Formula(tuple(nodes), frozenset(atom_names))
+    # drop subterms orphaned by double-negation elimination: operands are
+    # interned before their users, so one backward sweep from the root
+    # finds every reachable node, in the new order (root first, operands at
+    # strictly larger indices)
+    live = {root}
+    renumber = {-1: -1}
+    kept = []
+    for idx in range(root, -1, -1):
+        if idx in live:
+            node = builder.entries[idx]
+            renumber[idx] = len(kept)
+            kept.append(node)
+            live.update((node.left, node.right))
+    nodes = tuple(replace(node, left=renumber[node.left], right=renumber[node.right]) for node in kept)
+    return Formula(nodes, frozenset(node.name for node in nodes if node.kind == ATOM))
 
 
 def compile_formula(text: str) -> Formula:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +35,15 @@ def test_parse_symbol_spellings():
     words = parse_formula("not (eventually[0,3] p or always[1,2] q) and once[0,inf) r")
     symbols = parse_formula("!(<>[0,3] p \\/ [][1,2] q) /\\ <*>[0,inf) r")
     assert words == symbols
+    # the past operators accept an unbounded interval in either spelling
+    for word, symbol, text in [
+        ("since", "S", "p {}[2,inf) q"),
+        ("once", "<*>", "{}[2,inf) q"),
+        ("historically", "[*]", "{}[2,inf) q"),
+    ]:
+        tree = parse_formula(text.format(word))
+        assert tree.op == word and tree.interval == Interval(2, math.inf)
+        assert parse_formula(text.format(symbol)) == tree
 
 
 def test_parse_implies_right_assoc():
@@ -60,11 +70,21 @@ def test_parse_errors_carry_position():
     assert err.value.position == len("p and ")
 
 
-def test_parse_rejects_unbounded_future():
-    with pytest.raises(ParseError, match="unbounded future interval"):
-        parse_formula("eventually[0,inf) p")
-    with pytest.raises(ParseError, match="unbounded future interval"):
-        parse_formula("p U[1,inf) q")
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("p until[1,inf) q", "until"),
+        ("p U[1,inf) q", "until"),
+        ("eventually[0,inf) p", "eventually"),
+        ("<>[0,inf) p", "eventually"),
+        ("always[2,inf) p", "always"),
+        ("[][2,inf) p", "always"),
+    ],
+    ids=["until", "U", "eventually", "<>", "always", "[]"],
+)
+def test_parse_rejects_unbounded_future(text, name):
+    with pytest.raises(ParseError, match=f"unbounded future interval on '{name}'"):
+        parse_formula(text)
 
 
 def test_parse_rejects_empty_interval():
@@ -103,8 +123,6 @@ def test_interval_validation():
         Interval(True, 2)
     with pytest.raises(ValueError, match="upper bound must be a natural number or inf, got True"):
         Interval(0, True)
-    assert Interval(0, math.inf).upper_closed is False
-    assert Interval(0, 4).upper_closed is True
 
 
 def test_desugar_always():
@@ -194,6 +212,35 @@ def test_bottom_up_index_property():
             node = f.nodes[k]
             stack.extend(i for i in (node.left, node.right) if i >= 0)
         assert seen == set(range(len(f.nodes)))
+
+
+_MIRROR = {
+    "until": "since", "since": "until", "eventually": "once", "once": "eventually",
+    "always": "historically", "historically": "always", "next": "prev", "prev": "next",
+}
+
+
+def _mirror(tree: SurfaceNode) -> SurfaceNode:
+    return replace(tree, op=_MIRROR.get(tree.op, tree.op), children=tuple(map(_mirror, tree.children)))
+
+
+def _unbounded(tree: SurfaceNode) -> bool:
+    here = tree.interval is not None and tree.interval.upper == math.inf
+    return here or any(map(_unbounded, tree.children))
+
+
+def test_time_mirror_swaps_until_and_since_and_horizon_and_history():
+    rng = random.Random(23)
+    trees = [t for t in (random_surface_tree(rng) for _ in range(600)) if not _unbounded(t)]
+    assert len(trees) >= 200
+    swap = {UNTIL: SINCE, SINCE: UNTIL}
+    for tree in trees:
+        f = desugar(tree)
+        mirrored = desugar(_mirror(tree))
+        assert mirrored.nodes == tuple(
+            replace(n, kind=swap.get(n.kind, n.kind), horizon=n.history, history=n.horizon) for n in f.nodes
+        )
+        assert mirrored.atom_names == f.atom_names
 
 
 def test_roundtrip_parse_print_parse():
