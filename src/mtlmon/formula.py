@@ -187,7 +187,7 @@ class Formula:
 # Tokenizer / parser
 
 _TOKEN_RE = re.compile(
-    r"(?P<nat>\d+)"
+    r"(?P<nat>[0-9]+)"  # ASCII digits only: \d would take any Unicode digit
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<sym><\*>|\[\*\]|<>|\[\]|->|\\/|/\\|[()\[\],!])"
 )

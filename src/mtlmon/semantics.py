@@ -38,9 +38,15 @@ def emin(values: Iterable[Rho]) -> Rho:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateSample:
-    """One observation: a map of variable values plus the sampling time."""
+    """One observation: a map of variable values plus the sampling time.
+
+    `values` is any mapping of variable name to value.  Samples built by
+    hand usually hold a dict; `load_trace` gives each sample a read-only
+    view into one float64 buffer that holds the whole trace (see
+    `mtlmon.traceio`), which costs one Python-level call per lookup.
+    """
 
     values: Mapping[str, float]
     time: float = 0.0
@@ -94,7 +100,7 @@ def signed_distance(sample: StateSample, predicate: Predicate) -> Rho:
     return predicate.gain * min(x - predicate.lo, predicate.hi - x)
 
 
-_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NUM = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # ASCII digits only
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _AT_MOST = re.compile(rf"^({_ID})\s*<=\s*({_NUM})$")
 _AT_LEAST = re.compile(rf"^({_ID})\s*>=\s*({_NUM})$")

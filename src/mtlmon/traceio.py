@@ -4,16 +4,29 @@ Trace CSV format: a ``time,var1,var2,...`` header of distinct names, one
 row per sample, decimal values, ``#`` starting a comment line.  The
 sampling period is inferred from the first two rows and uniformity is
 enforced to a 1e-6 relative tolerance; configuring it separately would
-just invite mismatch bugs.
+just invite mismatch bugs.  A data cell is a finite number written in
+ASCII without ``_`` (what ``float()`` takes, less its digit separators
+and non-ASCII digits); column names may be any text.
+
+A loaded trace holds every variable value in one float64 ``array``, row
+after row in header order, 8 bytes per cell.  Each sample's ``values``
+is a read-only `RowValues` view into it: the shared name-to-column dict,
+the buffer and the row's offset, about 150 bytes per row with the
+sample itself, where a dict of floats per sample cost about 3 KB for 64
+variables.  A lookup is one Python-level call that returns a fresh float:
+about 0.17 us against a dict's 0.04 us (Python 3.11, 2-CPU Intel Xeon),
+so a step costs that much more per variable and frontier sample.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import string
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping
 
 from .oracle import Trace
 from .semantics import Rho, StateSample
@@ -52,6 +65,32 @@ class RunConfig:
     fail_on_violation: bool = False
 
 
+class RowValues(Mapping[str, float]):
+    """One loaded row's variable values: a read-only mapping of column
+    name to value, viewed in the trace's shared float64 buffer.  It equals
+    the dict of the same items, iterates in header order and gives plain
+    floats."""
+
+    __slots__ = ("_index", "_data", "_base")
+
+    def __init__(self, index: dict[str, int], data: array, base: int):
+        self._index = index  # column name -> position within a row
+        self._data = data
+        self._base = base
+
+    def __getitem__(self, key: str) -> float:
+        return self._data[self._base + self._index[key]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def load_trace(path: str) -> Trace:
     """Load and validate a trace CSV, parsing it one row at a time."""
     try:
@@ -79,30 +118,37 @@ def _read_samples(path: str) -> list[StateSample]:
         if len(set(header)) != len(header):
             name = next(name for k, name in enumerate(header) if name in header[:k])
             raise TraceError(f"duplicate column {name!r} in header")
-        variables = header[1:]
+        index = {name: k for k, name in enumerate(header[1:])}
+        data = array("d")
         samples = []
         for ridx, row in enumerate(reader):
             if len(row) != len(header):
                 raise TraceError(f"missing column at row {ridx}: expected {len(header)} cells, got {len(row)}")
+            text = "".join(row)  # the numeral grammar, checked once per row
+            if not text.isascii() or "_" in text:
+                raise _bad_cell(ridx, header, row)
             try:
                 parsed = list(map(float, row))
             except ValueError:
                 raise _bad_cell(ridx, header, row) from None
             if not all(map(math.isfinite, parsed)):
                 raise _bad_cell(ridx, header, row)
-            samples.append(StateSample(dict(zip(variables, parsed[1:])), parsed[0]))
+            samples.append(StateSample(RowValues(index, data, len(data)), parsed[0]))
+            data.extend(parsed[1:])
     return samples
 
 
 def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError:
-    """The error for the first cell of a row that is not a finite number."""
+    """The error for the first cell of a row that is not a finite number
+    written in ASCII without ``_``."""
     for name, cell in zip(header, row):
         try:
-            finite = math.isfinite(float(cell))
+            finite = cell.isascii() and "_" not in cell and math.isfinite(float(cell))
         except ValueError:
             finite = False
         if not finite:
-            return TraceError(f"non-numeric value {cell.strip()!r} at row {ridx}, column {name!r}")
+            # strip ASCII whitespace only, so that a non-ASCII space shows
+            return TraceError(f"non-numeric value {cell.strip(string.whitespace)!r} at row {ridx}, column {name!r}")
     raise AssertionError("row has no bad cell")
 
 

@@ -93,6 +93,8 @@ def test_monitor_exit_codes(tmp_path):
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # bad trace
     t.write_text("time,x,x\n0.0,1.0,2.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # duplicate column
+    t.write_text("time,x\n0.0,1_5\n")
+    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # digit separator
     p.write_text("p : y >= 0\n")
     t.write_text("time,x\n0.0,1.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # no column the predicate reads

@@ -92,6 +92,13 @@ def test_parse_rejects_empty_interval():
         parse_formula("eventually[5,2] p")
 
 
+def test_parse_rejects_non_ascii_digits_in_interval():
+    # int() reads the full-width one, but an interval bound is an ASCII numeral
+    with pytest.raises(ParseError, match="unexpected character '\uff11'") as err:
+        parse_formula("eventually[0,\uff11] p")
+    assert err.value.position == len("eventually[0,")
+
+
 def test_parse_rejects_trailing_tokens():
     with pytest.raises(ParseError, match="unexpected token"):
         parse_formula("p q")

@@ -171,6 +171,13 @@ def test_parse_predicates_rejects_overflowing_bound():
         parse_predicates("p : x <= -1e400")
 
 
+@pytest.mark.parametrize("body", ["x <= \uff11", "x >= 1\u0660", "\u0661 <= x <= 2"], ids=["fullwidth", "arabic-indic", "between"])
+def test_parse_predicates_rejects_non_ascii_digits(body):
+    # float() reads these digits, but a bound is an ASCII numeral
+    with pytest.raises(PredicateError, match=f"line 1: cannot parse constraint {body!r}"):
+        parse_predicates(f"p : {body}")
+
+
 def test_parse_predicates_bad_line():
     with pytest.raises(PredicateError, match="line 1"):
         parse_predicates("a = x <= 1")

@@ -1,17 +1,26 @@
+import csv
 import math
+import re
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mtlmon import (
     ConfigError,
+    Monitor,
     PredictorMode,
     StateSample,
     Trace,
     TraceError,
     TraceExhausted,
+    compile_formula,
     gen_case_study_trace,
     load_trace,
+    parse_predicates,
     predict,
+    signed_distance,
     write_robustness_csv,
 )
 
@@ -67,6 +76,23 @@ def test_load_rejects_non_numeric_and_nan(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize(
+    "cell, shown",
+    [("1_5", "'1_5'"), (" \uff12.5", "'\uff12.5'"), ("1e\u0665", "'1e\u0665'"), ("\u00a01.0 ", "'\\xa01.0'")],
+    ids=["separator", "fullwidth", "arabic-indic", "nbsp"],
+)
+def test_load_rejects_cells_float_reads_beyond_ascii_numerals(tmp_path, cell, shown):
+    # float() reads every one of these; a trace cell is an ASCII numeral without '_'
+    path = write(tmp_path, f"time,x,y\n0.0,1.0,2.0\n0.1,3.0,{cell}\n")
+    with pytest.raises(TraceError, match="^" + re.escape(f"non-numeric value {shown} at row 1, column 'y'") + "$"):
+        load_trace(path)
+
+
+def test_load_accepts_non_ascii_column_names(tmp_path):
+    path = write(tmp_path, "time,\u03bb,x_1\n0.0,1.0,2.0\n0.1,3.0,4.0\n")
+    assert load_trace(path).samples[1].values == {"\u03bb": 3.0, "x_1": 4.0}
+
+
 def test_load_rejects_missing_time_header(tmp_path):
     path = write(tmp_path, "x,y\n0.0,1.0\n")
     with pytest.raises(TraceError, match="missing column"):
@@ -87,6 +113,72 @@ def test_load_single_row_has_no_period(tmp_path):
     trace = load_trace(path)
     assert len(trace) == 1
     assert trace.delta_t is None
+
+
+_NAMES = st.lists(
+    st.text(st.characters(whitelist_categories=("Lu", "Ll")), min_size=1, max_size=4).filter(lambda n: n != "time"),
+    min_size=1, max_size=6, unique=True,
+)
+_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), names=_NAMES)
+def test_loaded_rows_equal_dict_samples(tmp_path, data, names):
+    rows = data.draw(st.lists(st.lists(_VALUES, min_size=len(names), max_size=len(names)), min_size=1, max_size=8))
+    path = tmp_path / "trace.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(["time", *names])
+        out.writerows([float(k), *map(repr, row)] for k, row in enumerate(rows))
+    trace = load_trace(str(path))
+    expected = tuple(StateSample(dict(zip(names, row)), float(k)) for k, row in enumerate(rows))
+    assert trace.samples == expected
+    for got, want in zip(trace.samples, expected):
+        assert got.values == want.values and dict(got.values) == want.values
+        assert len(got.values) == len(names) and list(got.values) == names
+        assert all(name in got.values for name in names) and "time" not in got.values
+        # exactly float, so write_robustness_csv renders the same text as for dict samples
+        assert all(type(got.values[name]) is float for name in names)
+
+
+def test_loaded_rows_are_read_only_and_print_as_dicts(tmp_path):
+    sample = load_trace(write(tmp_path, "time,x,y\n0.0,1.5,-2.0\n")).samples[0]
+    with pytest.raises(TypeError):
+        sample.values["x"] = 0.0
+    with pytest.raises(TypeError):
+        del sample.values["x"]
+    assert sample.values == {"x": 1.5, "y": -2.0}
+    assert repr(sample.values) == repr({"x": 1.5, "y": -2.0})
+    assert repr(sample) == repr(StateSample({"x": 1.5, "y": -2.0}, 0.0))
+
+
+def test_missing_variable_in_loaded_row_gives_one_key_error(tmp_path):
+    sample = load_trace(write(tmp_path, "time,x\n0.5,1.0\n")).samples[0]
+    preds = parse_predicates("p : y >= 0\n")
+    message = "unknown variable 'y' in sample at t=0.5"
+    with pytest.raises(KeyError, match=message):
+        Monitor(compile_formula("p"), preds).step(sample)
+    with pytest.raises(KeyError, match=message):
+        signed_distance(sample, preds["p"])
+
+
+def test_loaded_trace_memory_per_cell_and_row(tmp_path):
+    rows, cols = 2000, 64
+    path = tmp_path / "wide.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["time", *(f"v{c}" for c in range(cols))]) + "\n")
+        for r in range(rows):
+            fh.write(",".join([repr(r * 0.01), *(repr(r + c / 64) for c in range(cols))]) + "\n")
+    tracemalloc.start()
+    try:
+        trace = load_trace(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == rows
+    # a float64 cell is 8 bytes; a sample with its view and time about 150 bytes
+    assert peak <= 16 * rows * cols + 256 * rows, f"{peak / (rows * cols):.1f} bytes per cell"
 
 
 def fixed_trace(values, dt=0.1):
