@@ -38,6 +38,7 @@ from .traceio import (
     PredictorMode,
     RunConfig,
     TraceError,
+    check_predictor,
     gen_case_study_trace,
     load_trace,
     predict,
@@ -115,6 +116,7 @@ def run_monitor(config: RunConfig) -> tuple[int, list[tuple[int, float, float]]]
             var = predicates[name].variable
             if var not in trace.samples[0].values:
                 raise TraceError(f"trace has no column {var!r} (read by predicate {name!r})")
+    check_predictor(config.predictor, formula.horizon)  # also when the trace has no rows to predict for
     steps = len(trace.samples)
     if config.predictor is PredictorMode.PERFECT:
         steps -= formula.horizon

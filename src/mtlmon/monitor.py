@@ -97,7 +97,6 @@ from .semantics import (
     PredicateError,
     Rho,
     StateSample,
-    signed_distance,
 )
 
 _BLOCK = 1 << 20      # elements per running-minimum block: caps its memory at 8 MB
@@ -158,7 +157,6 @@ class Monitor:
             )
         self.table = np.full(shape, NEG_INF)
         self.i = 0
-        self._frontier: list[StateSample] = []
         self._values: dict[str, list[float]] = {}
         self._rows = [self._plan(node, predicates) for node in formula.nodes]
         self._variables = sorted({r.pred.variable for r in self._rows if r.kind == ATOM})
@@ -186,11 +184,9 @@ class Monitor:
                 f"prediction length mismatch: formula horizon is {self.horizon}, "
                 f"got {len(predictions)} samples"
             )
-        frontier = [sample, *predictions]
-        values = self._checked_values(frontier)
+        values = self._checked_values([sample, *predictions])
         # nothing above changes the monitor, so a rejected step leaves it as it was
         self.i += 1
-        self._frontier = frontier
         self._values = values
         T = self.table
         off = self.history + 1
@@ -202,13 +198,19 @@ class Monitor:
     def cell(self, k: int, j: int) -> Rho | None:
         """Stored value of subformula k at column j, or None before the
         first step, where the column precedes the stream or history the
-        row does not maintain."""
+        row does not maintain.  Raises IndexError for a k outside the
+        formula's nodes or a j outside the window."""
+        row = self._row(k)
         if not -self.history <= j <= self.horizon:
             raise IndexError(f"column {j} outside [-{self.history}, {self.horizon}]")
-        row = self._rows[k]
         if j < row.start or self.i == 0 or self.i - 1 + j < 0:
             return None
         return float(self.table[k, j + self.history + 1])
+
+    def _row(self, k: int) -> _Row:
+        if not 0 <= k < len(self._rows):
+            raise IndexError(f"subformula {k} outside the formula's {len(self._rows)} nodes")
+        return self._rows[k]
 
     # ------------------------------------------------------------------
     # Row updates
@@ -257,16 +259,16 @@ class Monitor:
 
         One cell of the table update: the update fills every row that is
         not on numpy through it, and it is exposed so single cells can be
-        inspected and tested.  Raises IndexError unless row.start <= j <=
-        horizon, the columns the row maintains.  Only meaningful where the
-        update has run (operand rows filled, absolute time i+j
-        nonnegative); reads before the stream start or past the horizon
-        see the table's -inf.  An until or since cell is _max_min_window's
+        inspected and tested.  Raises IndexError for a k outside the
+        formula's nodes, and unless row.start <= j <= horizon, the columns
+        the row maintains.  Only meaningful where the update has run
+        (operand rows filled, absolute time i+j nonnegative); reads before
+        the stream start or past the horizon see the table's -inf.  An until or since cell is _max_min_window's
         formula for one cell, over the same slices; an unbounded since
         maxes its [lo, lo] disjunct with its running value, the minimum of
         its own cell one column to the left and the left operand here.
         """
-        row = self._rows[k]
+        row = self._row(k)
         if not row.start <= j <= self.horizon:
             raise IndexError(f"column {j} outside [{row.start}, {self.horizon}], the columns of row {k}")
         T = self.table
@@ -274,7 +276,7 @@ class Monitor:
         if row.kind == TRUE:
             return POS_INF
         if row.kind == ATOM:
-            return signed_distance(self._frontier[j], row.pred) if j >= 0 else float(T[k, a])
+            return row.pred.distance(self._values[row.pred.variable][j]) if j >= 0 else float(T[k, a])
         if row.kind == NOT:
             return -float(T[row.left, a])
         if row.kind == OR:
@@ -361,17 +363,23 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     each sweep, and its traced peak was 0.34 MB against the whole block's
     4.08 MB.
 
-    Cells are processed in blocks of at most _BLOCK elements, which bounds
-    the tall branch's memory, not its time: at H = 4000 a steady step
-    covers 8001 cells, an unblocked 4000 x 8001 block of float64 (256 MB),
-    and even the 110 steps that criterion 4's sweep runs reach 4110 cells
-    (about 131 MB).  Tall blocks stay over cells, each spanning the whole
-    window: a loop over window offsets with no cell blocks, or with blocks
-    or chunks over offsets, makes large windows as cheap per element as
-    small ones, and the kernel's slope over criterion 4's sweep falls to
-    about 1.4, below the range the criterion checks.  Only the wide blocks
-    of windows up to 1024 offsets are chunked: criterion 4's H = 500 and
-    1000, not its H = 2000 and 4000.
+    Cells are processed in blocks of _BLOCK // up cells, at most _BLOCK
+    elements.  Up to 1024 offsets such a block is at least as wide as it
+    is tall and takes the chunked branch; above, it is taller than wide and
+    takes accumulate, which _BLOCK caps at 8 MB.  So _BLOCK picks the branch
+    of every row wider than one block, not only its memory, and criterion
+    4's slope depends on it.  At H = 4000 the 110 steps of criterion 4's
+    sweep reach 4110 cells, cut into tall blocks of 262.  Left whole, that
+    row would not be a 4000 x 4110 block of float64 (131 MB, or 256 MB at a
+    steady step's 8001 cells) but the chunked branch, 7 rows of 4110 cells
+    (263 KB) at a time.  On the same host, two sweeps each, H = 4000 then
+    took 33.8-35.3 ms a step against 129.9-143.2 ms, about 4x faster, and
+    the sweep's slope fell from 2.20-2.28 to 1.45-1.47, below the 1.5 that
+    the criterion checks.  Tall blocks thus keep criterion 4's H = 2000 and
+    4000 off the chunked branch, which serves its H = 500 and 1000.  Other
+    loops over window offsets, with no cell blocks or with blocks or chunks
+    over offsets, likewise make large windows as cheap per element as small
+    ones, and the slope falls to about 1.4.
     """
     first = max(lo, 1)  # smallest w whose disjunct reads a running minimum
     out = np.full(count, NEG_INF)

@@ -9,6 +9,14 @@ windows clamp at the trace start; on finite data that is the only
 reasonable reading, and it is exactly what the monitor computes, so the
 two can be compared for exact equality.
 
+There is one semantics walk, _eval, read in one of two lattices.
+Robustness is the Boolean semantics with disjunction and conjunction
+replaced by max and min over the extended reals: an atom is its signed
+distance, true is +inf, an empty disjunction is -inf.  Truth is the same
+walk over the Booleans, an atom holding iff its distance is >= 0.  Since is until
+mirrored in time, so both are one walk from step i outward over the
+window's steps, forward for until and backward for since, nearest first.
+
 Performance is not a goal here; evaluation memoizes per (subformula,
 step) within one call and is entirely adequate at test scale.
 """
@@ -16,8 +24,9 @@ step) within one call and is entirely adequate at test scale.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .formula import ATOM, NOT, OR, TRUE, UNTIL, Formula
 from .semantics import (
@@ -61,6 +70,24 @@ class Trace:
         return len(self.samples)
 
 
+class _Lattice(NamedTuple):
+    """The values one evaluation works in: an atom's value at a sample, the
+    empty join and meet, and join (or), meet (and) and negation (not)."""
+
+    atom: Callable[[StateSample, Predicate], Any]
+    bottom: Any
+    top: Any
+    join: Callable[[Any, Any], Any]
+    meet: Callable[[Any, Any], Any]
+    neg: Callable[[Any], Any]
+
+
+_ROBUSTNESS = _Lattice(signed_distance, NEG_INF, POS_INF, max, min, operator.neg)
+_TRUTH = _Lattice(
+    lambda sample, pred: signed_distance(sample, pred) >= 0, False, True, operator.or_, operator.and_, operator.not_
+)
+
+
 def offline_robustness(
     formula: Formula,
     predicates: Mapping[str, Predicate],
@@ -69,9 +96,7 @@ def offline_robustness(
     node: int = 0,
 ) -> Rho:
     """Robustness of a (sub)formula at step i, straight from the semantics."""
-    if not 0 <= i < len(trace.samples):
-        raise IndexError(f"step {i} outside trace of length {len(trace.samples)}")
-    return _rho(formula.nodes, predicates, trace.samples, node, i, {})
+    return _eval(_ROBUSTNESS, formula, predicates, trace, node)(i)
 
 
 def offline_robustness_series(
@@ -81,11 +106,7 @@ def offline_robustness_series(
     node: int = 0,
 ) -> list[Rho]:
     """Robustness at every step of the trace (shared evaluation cache)."""
-    memo: dict[tuple[int, int], Rho] = {}
-    return [
-        _rho(formula.nodes, predicates, trace.samples, node, i, memo)
-        for i in range(len(trace.samples))
-    ]
+    return list(map(_eval(_ROBUSTNESS, formula, predicates, trace, node), range(len(trace))))
 
 
 def boolean_eval(
@@ -96,98 +117,56 @@ def boolean_eval(
     node: int = 0,
 ) -> bool:
     """Classical truth at step i; an atom holds iff its distance is >= 0."""
-    if not 0 <= i < len(trace.samples):
-        raise IndexError(f"step {i} outside trace of length {len(trace.samples)}")
-    return _sat(formula.nodes, predicates, trace.samples, node, i, {})
+    return _eval(_TRUTH, formula, predicates, trace, node)(i)
 
 
-def _rho(nodes, predicates, samples: Sequence[StateSample], k: int, i: int, memo) -> Rho:
-    key = (k, i)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    node = nodes[k]
-    kind = node.kind
-    if kind == TRUE:
-        value = POS_INF
-    elif kind == ATOM:
-        value = signed_distance(samples[i], predicates[node.name])
-    elif kind == NOT:
-        value = -_rho(nodes, predicates, samples, node.left, i, memo)
-    elif kind == OR:
-        value = max(
-            _rho(nodes, predicates, samples, node.left, i, memo),
-            _rho(nodes, predicates, samples, node.right, i, memo),
-        )
-    elif kind == UNTIL:
-        lo = node.interval.lower
-        hi = min(i + int(node.interval.upper), len(samples) - 1)
-        value = NEG_INF
-        if i + lo <= hi:
-            run = POS_INF
-            for r in range(i, i + lo):
-                run = min(run, _rho(nodes, predicates, samples, node.left, r, memo))
-            for j in range(i + lo, hi + 1):
-                value = max(value, min(run, _rho(nodes, predicates, samples, node.right, j, memo)))
-                run = min(run, _rho(nodes, predicates, samples, node.left, j, memo))
-    else:  # since
-        lo, up = node.interval.lower, node.interval.upper
-        last = i - lo
-        first = 0 if up == math.inf else max(0, i - int(up))
-        value = NEG_INF
-        if last >= first:
-            run = POS_INF
-            for r in range(last + 1, i + 1):
-                run = min(run, _rho(nodes, predicates, samples, node.left, r, memo))
-            for j in range(last, first - 1, -1):
-                value = max(value, min(run, _rho(nodes, predicates, samples, node.right, j, memo)))
-                run = min(run, _rho(nodes, predicates, samples, node.left, j, memo))
-    memo[key] = value
-    return value
+def _eval(
+    lattice: _Lattice, formula: Formula, predicates: Mapping[str, Predicate], trace: Trace, node: int
+) -> Callable[[int], Any]:
+    """Subformula `node`'s value in the lattice as a function of the step.
+    The calls of one such function share one memo per (subformula, step).
+    A node outside the formula, or a step outside the trace, raises
+    IndexError."""
+    nodes, samples = formula.nodes, trace.samples
+    if not 0 <= node < len(nodes):
+        raise IndexError(f"subformula {node} outside the formula's {len(nodes)} nodes")
+    atom, bottom, top, join, meet, neg = lattice
+    memo: dict[tuple[int, int], Any] = {}
 
+    def value(k: int, i: int) -> Any:
+        key = (k, i)
+        if key in memo:
+            return memo[key]
+        sub = nodes[k]
+        if sub.kind == TRUE:
+            v = top
+        elif sub.kind == ATOM:
+            v = atom(samples[i], predicates[sub.name])
+        elif sub.kind == NOT:
+            v = neg(value(sub.left, i))
+        elif sub.kind == OR:
+            v = join(value(sub.left, i), value(sub.right, i))
+        else:
+            # until walks forward from step i, since backward: d steps away
+            # is step i + d * way, up to the window's end or the trace's
+            way = 1 if sub.kind == UNTIL else -1
+            reach = len(samples) - 1 - i if way == 1 else i
+            lo, up = sub.interval.lower, sub.interval.upper
+            if up != math.inf:
+                reach = min(reach, int(up))
+            v = bottom
+            if lo <= reach:
+                run = top  # the left operand's meet over steps i up to, not including, i + d * way
+                for d in range(reach + 1):
+                    if d >= lo:
+                        v = join(v, meet(run, value(sub.right, i + d * way)))
+                    run = meet(run, value(sub.left, i + d * way))
+        memo[key] = v
+        return v
 
-def _sat(nodes, predicates, samples: Sequence[StateSample], k: int, i: int, memo) -> bool:
-    key = (k, i)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    node = nodes[k]
-    kind = node.kind
-    if kind == TRUE:
-        value = True
-    elif kind == ATOM:
-        value = signed_distance(samples[i], predicates[node.name]) >= 0
-    elif kind == NOT:
-        value = not _sat(nodes, predicates, samples, node.left, i, memo)
-    elif kind == OR:
-        value = _sat(nodes, predicates, samples, node.left, i, memo) or _sat(
-            nodes, predicates, samples, node.right, i, memo
-        )
-    elif kind == UNTIL:
-        lo = node.interval.lower
-        hi = min(i + int(node.interval.upper), len(samples) - 1)
-        value = False
-        run = True
-        for r in range(i, min(i + lo, hi + 1)):
-            run = run and _sat(nodes, predicates, samples, node.left, r, memo)
-        for j in range(i + lo, hi + 1):
-            if run and _sat(nodes, predicates, samples, node.right, j, memo):
-                value = True
-                break
-            run = run and _sat(nodes, predicates, samples, node.left, j, memo)
-    else:  # since
-        lo, up = node.interval.lower, node.interval.upper
-        last = i - lo
-        first = 0 if up == math.inf else max(0, i - int(up))
-        value = False
-        if last >= first:
-            run = True
-            for r in range(last + 1, i + 1):
-                run = run and _sat(nodes, predicates, samples, node.left, r, memo)
-            for j in range(last, first - 1, -1):
-                if run and _sat(nodes, predicates, samples, node.right, j, memo):
-                    value = True
-                    break
-                run = run and _sat(nodes, predicates, samples, node.left, j, memo)
-    memo[key] = value
-    return value
+    def at(i: int) -> Any:
+        if not 0 <= i < len(samples):
+            raise IndexError(f"step {i} outside trace of length {len(samples)}")
+        return value(node, i)
+
+    return at

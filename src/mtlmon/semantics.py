@@ -88,6 +88,10 @@ class Predicate:
             # an infinite gain times a zero distance is NaN
             raise PredicateError(f"{self.name}: gain must be finite and positive")
 
+    def distance(self, x: float) -> Rho:
+        """Signed distance from the value x to the set, scaled by the gain."""
+        return self.gain * min(x - self.lo, self.hi - x)
+
 
 def signed_distance(sample: StateSample, predicate: Predicate) -> Rho:
     """Signed distance from the sample's value to the predicate's set."""
@@ -97,7 +101,7 @@ def signed_distance(sample: StateSample, predicate: Predicate) -> Rho:
         raise KeyError(
             f"unknown variable {predicate.variable!r} in sample at t={sample.time}"
         ) from None
-    return predicate.gain * min(x - predicate.lo, predicate.hi - x)
+    return predicate.distance(x)
 
 
 _NUM = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # ASCII digits only

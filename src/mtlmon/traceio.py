@@ -152,13 +152,19 @@ def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError:
     raise AssertionError("row has no bad cell")
 
 
+def check_predictor(mode: PredictorMode, horizon: int) -> None:
+    """Refuse a predictor that cannot serve a formula of this horizon: 'none'
+    gives no future samples, so it serves only zero-horizon formulas."""
+    if mode is PredictorMode.NONE and horizon > 0:
+        raise ConfigError(
+            f"predictor 'none' requires a zero-horizon formula, but the formula needs {horizon} future samples"
+        )
+
+
 def predict(mode: PredictorMode, trace: Trace, i: int, horizon: int) -> list[StateSample]:
     """Future samples for step i: held, looked up, or none at all."""
+    check_predictor(mode, horizon)
     if mode is PredictorMode.NONE:
-        if horizon > 0:
-            raise ConfigError(
-                f"predictor 'none' requires a zero-horizon formula, but the formula needs {horizon} future samples"
-            )
         return []
     if mode is PredictorMode.HOLD:
         return [trace.samples[i]] * horizon

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 from mtlmon import Monitor, Predicate, StateSample, Trace
 from mtlmon.formula import SINCE, Interval, SurfaceNode
@@ -95,6 +96,25 @@ def random_surface_tree(rng: random.Random, max_depth: int = 4, max_bound: int =
         return SurfaceNode(op, (go(depth - 1), go(depth - 1)), interval(True))
 
     return go(max_depth)
+
+
+_MIRROR = {
+    "until": "since", "since": "until", "eventually": "once", "once": "eventually",
+    "always": "historically", "historically": "always", "next": "prev", "prev": "next",
+}
+
+
+def mirror(tree: SurfaceNode) -> SurfaceNode:
+    """The surface tree mirrored in time: each temporal operator swapped
+    for its past or future counterpart, intervals kept."""
+    return replace(tree, op=_MIRROR.get(tree.op, tree.op), children=tuple(map(mirror, tree.children)))
+
+
+def has_unbounded(tree: SurfaceNode) -> bool:
+    """Whether any interval of the surface tree is unbounded; such a tree
+    has no mirror, since future operators take bounded intervals only."""
+    here = tree.interval is not None and tree.interval.upper == math.inf
+    return here or any(map(has_unbounded, tree.children))
 
 
 def random_predicates(rng: random.Random, names, gain: float = 1.0) -> dict[str, Predicate]:

@@ -99,6 +99,9 @@ def test_monitor_exit_codes(tmp_path):
     t.write_text("time,x\n0.0,1.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # no column the predicate reads
     p.write_text("p : x >= 0\n")
+    f.write_text("eventually[0,2] p")
+    t.write_text("time,x\n")
+    assert main(monitor_args(f, p, t, out, predictor="none")) == 1  # no predictions for a future formula, no rows
     t.write_text("time,x\n0.0,1.0\n")
     assert main(monitor_args(f, p, tmp_path / "absent.csv", out, predictor="none")) == 1
     assert main(["monitor", "--formula", str(f)]) == 1  # missing required flags

@@ -7,7 +7,7 @@ import pytest
 from mtlmon import Interval, ParseError, compile_formula, desugar, format_formula, parse_formula
 from mtlmon.formula import ATOM, NOT, OR, SINCE, TRUE, UNTIL, SurfaceNode
 
-from helpers import random_surface_tree, surface_history, surface_horizon
+from helpers import has_unbounded, mirror, random_surface_tree, surface_history, surface_horizon
 
 
 def test_parse_single_atom():
@@ -221,29 +221,14 @@ def test_bottom_up_index_property():
         assert seen == set(range(len(f.nodes)))
 
 
-_MIRROR = {
-    "until": "since", "since": "until", "eventually": "once", "once": "eventually",
-    "always": "historically", "historically": "always", "next": "prev", "prev": "next",
-}
-
-
-def _mirror(tree: SurfaceNode) -> SurfaceNode:
-    return replace(tree, op=_MIRROR.get(tree.op, tree.op), children=tuple(map(_mirror, tree.children)))
-
-
-def _unbounded(tree: SurfaceNode) -> bool:
-    here = tree.interval is not None and tree.interval.upper == math.inf
-    return here or any(map(_unbounded, tree.children))
-
-
 def test_time_mirror_swaps_until_and_since_and_horizon_and_history():
     rng = random.Random(23)
-    trees = [t for t in (random_surface_tree(rng) for _ in range(600)) if not _unbounded(t)]
+    trees = [t for t in (random_surface_tree(rng) for _ in range(600)) if not has_unbounded(t)]
     assert len(trees) >= 200
     swap = {UNTIL: SINCE, SINCE: UNTIL}
     for tree in trees:
         f = desugar(tree)
-        mirrored = desugar(_mirror(tree))
+        mirrored = desugar(mirror(tree))
         assert mirrored.nodes == tuple(
             replace(n, kind=swap.get(n.kind, n.kind), horizon=n.history, history=n.horizon) for n in f.nodes
         )

@@ -173,6 +173,18 @@ def test_cr_rejects_columns_the_row_does_not_maintain():
     assert mon.cr(atom, -3) == mon.cell(atom, -3)
 
 
+@pytest.mark.parametrize("entry", ["cell", "cr"])
+def test_rejects_subformulas_outside_the_formula(entry):
+    # a negative k used to wrap around to another row's value
+    f = compile_formula("p since[0,3] q")
+    mon = Monitor(f, {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)})
+    mon.step(StateSample({"x": 1.0, "y": 1.0}, 0.0))
+    count = len(f.nodes)
+    for k in (-1, -count, count):
+        with pytest.raises(IndexError, match=rf"subformula {k} outside the formula's {count} nodes"):
+            getattr(mon, entry)(k, 0)
+
+
 def test_previous_running_value_shifted_into_table_index_0():
     f = compile_formula("once[0,inf) q")
     mon = Monitor(f, Y_GE_4)

@@ -9,11 +9,12 @@ from mtlmon import (
     Trace,
     boolean_eval,
     compile_formula,
+    desugar,
     offline_robustness,
     offline_robustness_series,
 )
 
-from helpers import random_core_text, random_predicates, random_trace
+from helpers import has_unbounded, mirror, random_core_text, random_predicates, random_surface_tree, random_trace
 
 
 def xy_trace(points):
@@ -84,6 +85,25 @@ def test_index_out_of_range():
         boolean_eval(f, XY_PREDS, trace, -1)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda f, trace, k: offline_robustness(f, XY_PREDS, trace, 0, k),
+        lambda f, trace, k: boolean_eval(f, XY_PREDS, trace, 0, k),
+        lambda f, trace, k: offline_robustness_series(f, XY_PREDS, trace, k),
+    ],
+    ids=["offline_robustness", "boolean_eval", "offline_robustness_series"],
+)
+def test_rejects_subformulas_outside_the_formula(evaluate):
+    # a negative node used to wrap around to another subformula's value
+    trace = xy_trace([(0.0, 5.0), (1.0, 5.0)])
+    f = compile_formula("p since[0,3] q")
+    count = len(f.nodes)
+    for k in (-1, -count, count):
+        with pytest.raises(IndexError, match=rf"subformula {k} outside the formula's {count} nodes"):
+            evaluate(f, trace, k)
+
+
 def brute_force(nodes, preds, samples, k, i):
     """Literal triple-loop expansion of the defining semantics."""
     node = nodes[k]
@@ -125,6 +145,23 @@ def test_oracle_matches_brute_force_expansion():
         series = offline_robustness_series(f, preds, trace)
         for i in range(len(trace.samples)):
             assert series[i] == brute_force(f.nodes, preds, trace.samples, 0, i)
+
+
+def test_time_mirror_reverses_robustness_and_truth():
+    # since is until mirrored in time: a tree's values on a trace are its
+    # mirror's values on the reversed trace, read backwards
+    rng = random.Random(29)
+    trees = [t for t in (random_surface_tree(rng) for _ in range(1000)) if not has_unbounded(t)]
+    assert len(trees) >= 600
+    for tree in trees:
+        f, g = desugar(tree), desugar(mirror(tree))
+        preds = random_predicates(rng, f.atom_names)
+        trace = random_trace(rng, [p.variable for p in preds.values()], rng.randint(1, 16))
+        n = len(trace)
+        back = Trace(tuple(StateSample(s.values, k * 0.1) for k, s in enumerate(trace.samples[::-1])), trace.delta_t)
+        assert offline_robustness_series(g, preds, back)[::-1] == offline_robustness_series(f, preds, trace)
+        truth = [boolean_eval(f, preds, trace, i) for i in range(n)]
+        assert [boolean_eval(g, preds, back, n - 1 - i) for i in range(n)] == truth
 
 
 def test_negation_clause():
