@@ -27,7 +27,6 @@ from .semantics import (
 from .traceio import (
     ConfigError,
     PredictorMode,
-    RunConfig,
     TraceError,
     TraceExhausted,
     gen_case_study_trace,
@@ -63,7 +62,6 @@ __all__ = [
     "signed_distance",
     "ConfigError",
     "PredictorMode",
-    "RunConfig",
     "TraceError",
     "TraceExhausted",
     "gen_case_study_trace",

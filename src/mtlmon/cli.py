@@ -29,14 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .formula import Formula, Interval, ParseError, SurfaceNode, desugar, parse_formula
+from .formula import Formula, Interval, ParseError, SurfaceNode, compile_formula, desugar, parse_formula
 from .monitor import Monitor
 from .oracle import Trace
 from .semantics import Predicate, PredicateError, StateSample, parse_predicates
 from .traceio import (
     ConfigError,
     PredictorMode,
-    RunConfig,
     TraceError,
     check_predictor,
     gen_case_study_trace,
@@ -87,44 +86,45 @@ def _monitor_rows(mon: Monitor, trace: Trace, mode: PredictorMode, steps: int) -
     return rows
 
 
-def run_monitor(config: RunConfig) -> tuple[int, list[tuple[int, float, float]]]:
-    """Stream the configured trace through the monitor.
+def run_monitor(args: argparse.Namespace) -> int:
+    """`mtlmon monitor`: stream the trace through the monitor, write the
+    robustness CSV and return the exit code.
 
-    Returns (exit_code, output rows).  With the perfect predictor only the
-    steps whose full future is actually in the trace are emitted; held
-    predictions cover every step.
+    With the perfect predictor only the steps whose full future is
+    actually in the trace are written; held predictions cover every step.
     """
-    trace = load_trace(config.trace_path)
+    trace = load_trace(args.trace)
     try:
-        text = Path(config.formula_path).read_text(encoding="utf-8")
+        text = Path(args.formula).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"formula file is not UTF-8 text ({exc.reason})", exc.start) from None
+        byte = exc.object[exc.start]
+        raise ParseError(f"formula file is not UTF-8 text: byte {byte:#04x} ({exc.reason})", exc.start) from None
     tree = parse_formula(text)
-    if config.time_units == "seconds":
+    if args.time_units == "seconds":
         if trace.delta_t is None:
             raise ConfigError("seconds mode needs at least two samples to infer the sampling period")
         tree = intervals_to_samples(tree, trace.delta_t)
     formula = desugar(tree)
     try:
-        text = Path(config.predicates_path).read_text(encoding="utf-8")
+        text = Path(args.predicates).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise PredicateError(f"predicates file is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        byte = exc.object[exc.start]
+        raise PredicateError(
+            f"predicates file is not UTF-8 text: byte {byte:#04x} ({exc.reason} at offset {exc.start})"
+        ) from None
     predicates = parse_predicates(text)
     mon = Monitor(formula, predicates)
-    if trace.samples:
-        for name in sorted(formula.atom_names):
-            var = predicates[name].variable
-            if var not in trace.samples[0].values:
-                raise TraceError(f"trace has no column {var!r} (read by predicate {name!r})")
-    check_predictor(config.predictor, formula.horizon)  # also when the trace has no rows to predict for
-    steps = len(trace.samples)
-    if config.predictor is PredictorMode.PERFECT:
-        steps -= formula.horizon
-    rows = _monitor_rows(mon, trace, config.predictor, steps)
-    write_robustness_csv(config.out_path, rows)
-    if config.fail_on_violation and any(value < 0 for _, _, value in rows):
-        return 2, rows
-    return 0, rows
+    for name in sorted(formula.atom_names):
+        var = predicates[name].variable
+        if var not in trace.variables:
+            raise TraceError(f"trace has no column {var!r} (read by predicate {name!r})")
+    mode = PredictorMode(args.predictor)
+    check_predictor(mode, formula.horizon)  # also when the trace has no rows to predict for
+    steps = len(trace) - (formula.horizon if mode is PredictorMode.PERFECT else 0)
+    rows = _monitor_rows(mon, trace, mode, steps)
+    write_robustness_csv(args.out, rows)
+    print(f"wrote {len(rows)} steps to {args.out}")
+    return 2 if args.fail_on_violation and any(value < 0 for _, _, value in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def gen_template(kind: str, n: int, horizon: int) -> str:
 
 
 def _bench_formula(kind: str, n: int, horizon: int) -> tuple[Formula, dict[str, Predicate]]:
-    formula = desugar(parse_formula(gen_template(kind, n, horizon)))
+    formula = compile_formula(gen_template(kind, n, horizon))
     predicates = {name: Predicate(name, name, lo=-5.0, hi=5.0) for name in formula.atom_names}
     return formula, predicates
 
@@ -220,16 +220,10 @@ def run_bench(kind: str, n: int, horizon: int, steps: int, seed: int = 0) -> Ben
     return BenchReport(kind, n, horizon, steps, warmup_steps, mean_ms, variance_ms2)
 
 
-def run_bench_sweep(
-    kind: str,
-    n: int,
-    steps: int,
-    horizons: tuple[int, ...] = SWEEP_HORIZONS,
-    seed: int = 0,
-) -> tuple[list[BenchReport], float]:
-    """Benchmark a range of window sizes; the returned slope is the
+def run_bench_sweep(kind: str, n: int, steps: int, seed: int = 0) -> tuple[list[BenchReport], float]:
+    """Benchmark the window sizes SWEEP_HORIZONS; the returned slope is the
     least-squares fit of log(mean step time) against log(horizon)."""
-    reports = [run_bench(kind, n, horizon, steps, seed) for horizon in horizons]
+    reports = [run_bench(kind, n, horizon, steps, seed) for horizon in SWEEP_HORIZONS]
     slope = float(
         np.polyfit(
             np.log([r.horizon for r in reports]),
@@ -283,28 +277,13 @@ def run_case_study(
     of real forecasts.
     """
     trace = gen_case_study_trace(excursion_start, excursion_len, total, delta_t)
-    formula = desugar(parse_formula(case_study_formula(variant, delta_t)))
+    formula = compile_formula(case_study_formula(variant, delta_t))
     mode = PredictorMode.NONE if formula.horizon == 0 else PredictorMode.HOLD
     return _monitor_rows(Monitor(formula, case_study_predicates()), trace, mode, len(trace.samples))
 
 
 # ---------------------------------------------------------------------------
 # argument handling
-
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        formula_path=args.formula,
-        predicates_path=args.predicates,
-        trace_path=args.trace,
-        predictor=PredictorMode(args.predictor),
-        out_path=args.out,
-        time_units=args.time_units,
-        fail_on_violation=args.fail_on_violation,
-    )
-    code, rows = run_monitor(config)
-    print(f"wrote {len(rows)} steps to {config.out_path}")
-    return code
-
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.sweep:
@@ -348,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--fail-on-violation", action="store_true",
                    help="exit 2 if any step's robustness is negative")
     m.add_argument("--out", required=True, help="output CSV path")
-    m.set_defaults(func=_cmd_monitor)
+    m.set_defaults(func=run_monitor)
 
     b = sub.add_parser("bench", help="measure per-step monitoring cost on template specifications")
     b.add_argument("--template", required=True, choices=["E", "U"])

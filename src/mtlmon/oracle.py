@@ -46,10 +46,14 @@ class Trace:
     delta_t is the sampling period, positive and finite; None is allowed
     only for traces of at most one sample, where no period can be inferred.
     Timestamps must be finite and uniform to a relative tolerance of 1e-6.
+    variables names the columns of the file a trace was loaded from, after
+    time and in header order, also when it has no rows; it is empty for a
+    trace built by hand.
     """
 
     samples: tuple[StateSample, ...]
     delta_t: float | None = None
+    variables: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.delta_t is None and len(self.samples) > 1:

@@ -24,7 +24,6 @@ import csv
 import math
 import string
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -50,19 +49,6 @@ class PredictorMode(Enum):
     HOLD = "hold"        # repeat the current sample (zero-order hold)
     PERFECT = "perfect"  # read the actual future from the loaded trace
     NONE = "none"        # no predictions; only valid for zero-horizon formulas
-
-
-@dataclass
-class RunConfig:
-    """Everything one monitoring run needs; built by the command line."""
-
-    formula_path: str
-    predicates_path: str
-    trace_path: str
-    predictor: PredictorMode
-    out_path: str
-    time_units: str = "samples"
-    fail_on_violation: bool = False
 
 
 class RowValues(Mapping[str, float]):
@@ -92,21 +78,22 @@ class RowValues(Mapping[str, float]):
 
 
 def load_trace(path: str) -> Trace:
-    """Load and validate a trace CSV, parsing it one row at a time."""
+    """Load and validate a trace CSV, parsing it one row at a time.  The
+    trace keeps the header's variable names, rows or no rows."""
     try:
-        samples = _read_samples(path)
+        variables, samples = _read_samples(path)
     except UnicodeDecodeError as exc:
         raise TraceError(f"trace is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
     except csv.Error as exc:  # such as a field over csv's size limit
         raise TraceError(f"malformed trace: {exc}") from None
     delta_t = samples[1].time - samples[0].time if len(samples) > 1 else None
     try:
-        return Trace(tuple(samples), delta_t)
+        return Trace(tuple(samples), delta_t, variables)
     except ValueError as exc:  # Trace checks the spacing of every row
         raise TraceError(str(exc)) from None
 
 
-def _read_samples(path: str) -> list[StateSample]:
+def _read_samples(path: str) -> tuple[tuple[str, ...], list[StateSample]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(line for line in fh if (text := line.lstrip()) and text[0] != "#")
         first = next(reader, None)
@@ -135,7 +122,7 @@ def _read_samples(path: str) -> list[StateSample]:
                 raise _bad_cell(ridx, header, row)
             samples.append(StateSample(RowValues(index, data, len(data)), parsed[0]))
             data.extend(parsed[1:])
-    return samples
+    return tuple(index), samples
 
 
 def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError:

@@ -77,7 +77,7 @@ def test_monitor_fail_on_violation(tmp_path):
     assert read_values(out) == [1.0, -2.0]
 
 
-def test_monitor_exit_codes(tmp_path):
+def test_monitor_exit_codes(tmp_path, capsys):
     f, p, t, out = setup_run(tmp_path, "p and (", "p : x >= 0\n", "time,x\n0.0,1.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 4  # bad formula
     f.write_text("q")
@@ -98,6 +98,10 @@ def test_monitor_exit_codes(tmp_path):
     p.write_text("p : y >= 0\n")
     t.write_text("time,x\n0.0,1.0\n")
     assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # no column the predicate reads
+    t.write_text("time,x\n")
+    capsys.readouterr()
+    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # the same, header only
+    assert capsys.readouterr().err == "error: trace has no column 'y' (read by predicate 'p')\n"
     p.write_text("p : x >= 0\n")
     f.write_text("eventually[0,2] p")
     t.write_text("time,x\n")
@@ -128,7 +132,10 @@ def test_monitor_rejects_bad_files_in_one_line(tmp_path, capsys, which, content,
     files = dict(zip(("formula", "predicates", "trace"), setup_run(tmp_path, "p", "p : x >= 0\n", "time,x\n0.0,1\n")))
     files[which].write_bytes(content)
     assert main(monitor_args(files["formula"], files["predicates"], files["trace"], tmp_path / "out.csv", "hold")) == code
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    if b"\xff" in content:  # each file's error names the byte, as the trace's does
+        assert "is not UTF-8 text: byte 0xff (" in err
 
 
 def test_monitor_seconds_units_converts_every_formula_that_parses(tmp_path):

@@ -35,6 +35,7 @@ def test_load_uniform_trace(tmp_path):
     path = write(tmp_path, "time,x,y\n0.0,1.0,2.0\n0.1,3.0,4.0\n0.2,5.0,6.0\n")
     trace = load_trace(path)
     assert len(trace) == 3
+    assert trace.variables == ("x", "y")
     assert trace.delta_t == pytest.approx(0.1)
     assert trace.samples[1].values == {"x": 3.0, "y": 4.0}
     assert trace.samples[2].time == pytest.approx(0.2)
@@ -113,6 +114,10 @@ def test_load_single_row_has_no_period(tmp_path):
     trace = load_trace(path)
     assert len(trace) == 1
     assert trace.delta_t is None
+    # a header alone is a trace of no samples that still names its columns, in header order
+    trace = load_trace(write(tmp_path, "# no rows yet\ntime,y,x\n", name="header.csv"))
+    assert len(trace) == 0 and trace.delta_t is None
+    assert trace.variables == ("y", "x")
 
 
 _NAMES = st.lists(
@@ -134,6 +139,7 @@ def test_loaded_rows_equal_dict_samples(tmp_path, data, names):
     trace = load_trace(str(path))
     expected = tuple(StateSample(dict(zip(names, row)), float(k)) for k, row in enumerate(rows))
     assert trace.samples == expected
+    assert trace.variables == tuple(names)
     for got, want in zip(trace.samples, expected):
         assert got.values == want.values and dict(got.values) == want.values
         assert len(got.values) == len(names) and list(got.values) == names
