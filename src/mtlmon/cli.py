@@ -98,7 +98,8 @@ def run_monitor(args: argparse.Namespace) -> int:
         text = Path(args.formula).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
-        raise ParseError(f"formula file is not UTF-8 text: byte {byte:#04x} ({exc.reason})", exc.start) from None
+        chars = len(exc.object[: exc.start].decode("utf-8"))  # ParseError counts characters, not bytes
+        raise ParseError(f"formula file is not UTF-8 text: byte {byte:#04x} ({exc.reason})", chars) from None
     tree = parse_formula(text)
     if args.time_units == "seconds":
         if trace.delta_t is None:

@@ -23,8 +23,9 @@ predicted values never survive into the past.
 Each step:
 
 1. check that the sample and the predictions give every variable the
-   formula reads a finite value; nothing changes before this passes, so
-   a rejected step leaves the monitor exactly as it was,
+   formula reads a finite real value (semantics.sample_value's rule and
+   errors, which the oracle shares); nothing changes before this passes,
+   so a rejected step leaves the monitor exactly as it was,
 2. shift the whole table one column to the left, dropping the oldest
    column,
 3. recompute the columns [-horizon(k), horizon] of every row k bottom-up
@@ -81,7 +82,6 @@ in cache, and the next chunk continues from its last row.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from itertools import accumulate, islice
@@ -97,6 +97,7 @@ from .semantics import (
     PredicateError,
     Rho,
     StateSample,
+    sample_value,
 )
 
 _BLOCK = 1 << 20      # elements per running-minimum block: caps its memory at 8 MB
@@ -291,30 +292,18 @@ class Monitor:
     def _checked_values(self, frontier: Sequence[StateSample]) -> dict[str, list[float]]:
         """Each variable the formula reads, over the frontier.  Rejects a
         step whose samples lack such a variable or give it a value that is
-        not a finite real number (a bool is not one)."""
+        not a finite real number, as semantics.sample_value does."""
         values = {}
         for var in self._variables:
             try:
                 xs = [s.values[var] for s in frontier]
+                fast = all(map(float.__instancecheck__, xs)) and all(map(math.isfinite, xs))
             except KeyError:
-                at = next(s.time for s in frontier if var not in s.values)
-                raise KeyError(f"unknown variable {var!r} in sample at t={at}") from None
-            # two C-level scans pass a frontier of finite floats; any other is judged value by value
-            if not (all(map(float.__instancecheck__, xs)) and all(map(math.isfinite, xs))):
-                for s, x in zip(frontier, xs):
-                    if not _finite_real(x):
-                        raise ValueError(
-                            f"value {x!r} of variable {var!r} in sample at t={s.time} is not a finite real number"
-                        )
-            values[var] = xs
+                fast = False
+            # two C-level scans pass a frontier of finite floats; any other
+            # is read again through sample_value, which raises for a bad one
+            values[var] = xs if fast else [sample_value(s, var) for s in frontier]
         return values
-
-
-def _finite_real(x: object) -> bool:
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an int beyond float range
-        return False
 
 
 def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int) -> np.ndarray:

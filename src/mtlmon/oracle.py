@@ -3,7 +3,9 @@
 This module recomputes values directly from the defining semantics, with
 no incremental state, no table, and no running values.  It exists as ground
 truth for testing the streaming monitor, so it deliberately shares nothing
-with the monitor beyond the value domain and signed distances.  Windows
+with the monitor beyond the value domain, signed distances and the rule
+for sample values (semantics.sample_value): a sample the monitor refuses,
+the oracle refuses with the same exception and message.  Windows
 that run past the end of the supplied trace are truncated, and past
 windows clamp at the trace start; on finite data that is the only
 reasonable reading, and it is exactly what the monitor computes, so the
@@ -35,6 +37,7 @@ from .semantics import (
     Predicate,
     Rho,
     StateSample,
+    finite_real,
     signed_distance,
 )
 
@@ -43,9 +46,10 @@ from .semantics import (
 class Trace:
     """Uniformly sampled sequence of state samples.
 
-    delta_t is the sampling period, positive and finite; None is allowed
+    delta_t is the sampling period, a positive finite real; None is allowed
     only for traces of at most one sample, where no period can be inferred.
-    Timestamps must be finite and uniform to a relative tolerance of 1e-6.
+    Timestamps must be finite real numbers (semantics.finite_real) and
+    uniform to a relative tolerance of 1e-6.
     variables names the columns of the file a trace was loaded from, after
     time and in header order, also when it has no rows; it is empty for a
     trace built by hand.
@@ -58,12 +62,12 @@ class Trace:
     def __post_init__(self) -> None:
         if self.delta_t is None and len(self.samples) > 1:
             raise ValueError(f"sampling period missing for a trace of {len(self.samples)} samples")
-        bad = next((k for k, s in enumerate(self.samples) if not math.isfinite(s.time)), None)
+        bad = next((k for k, s in enumerate(self.samples) if not finite_real(s.time)), None)
         if bad is not None:
-            raise ValueError(f"non-finite time {self.samples[bad].time} at row {bad}")
+            raise ValueError(f"non-finite time {self.samples[bad].time!r} at row {bad}")
         if self.delta_t is not None:
-            if not 0 < self.delta_t < math.inf:
-                raise ValueError(f"sampling period must be positive and finite, got {self.delta_t}")
+            if not (finite_real(self.delta_t) and self.delta_t > 0):
+                raise ValueError(f"sampling period must be positive and finite, got {self.delta_t!r}")
             tol = 1e-6 * self.delta_t
             for k in range(1, len(self.samples)):
                 gap = self.samples[k].time - self.samples[k - 1].time

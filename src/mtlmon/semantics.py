@@ -1,15 +1,20 @@
 """Extended-real robustness values and signed-distance predicates.
 
 Robustness values live on the extended real line: ordinary floats plus
-+inf and -inf.  NaN is never a valid value; trace loading and
-`Monitor.step` reject it at the door.  Max and min over empty collections
-follow the lattice conventions (max of nothing is -inf, min of nothing is
-+inf), which is what makes empty temporal windows come out right.
++inf and -inf.  Sample values are finite reals, and one rule,
+`finite_real`, says which values those are.  It has three users:
+`Monitor.step` and the oracle (through `signed_distance`) read every
+sample value through `sample_value`, so they refuse the same values
+(NaN, infinities, bools, non-numbers) with the same exception and
+message, and `Trace` checks sample times and its period by it.  Max and min over empty collections follow the
+lattice conventions (max of nothing is -inf, min of nothing is +inf),
+which is what makes empty temporal windows come out right.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -42,7 +47,9 @@ def emin(values: Iterable[Rho]) -> Rho:
 class StateSample:
     """One observation: a map of variable values plus the sampling time.
 
-    `values` is any mapping of variable name to value.  Samples built by
+    `values` is any mapping of variable name to value; each value the
+    formula reads must be a finite real number, and a bool is not one
+    (see `finite_real`).  Samples built by
     hand usually hold a dict; `load_trace` gives each sample a read-only
     view into one float64 buffer that holds the whole trace (see
     `mtlmon.traceio`), which costs one Python-level call per lookup.
@@ -93,15 +100,32 @@ class Predicate:
         return self.gain * min(x - self.lo, self.hi - x)
 
 
+def finite_real(x: object) -> bool:
+    """Whether x is a finite real number; a bool is not one, and neither is
+    an int beyond float range."""
+    try:  # a float skips the slower abstract-class check
+        return (type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)) and math.isfinite(x)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def sample_value(sample: StateSample, variable: str) -> float:
+    """The sample's value of the variable.  Raises KeyError if the sample
+    lacks the variable and ValueError if its value is not a finite real."""
+    try:
+        x = sample.values[variable]
+    except KeyError:
+        raise KeyError(f"unknown variable {variable!r} in sample at t={sample.time}") from None
+    if not finite_real(x):
+        raise ValueError(
+            f"value {x!r} of variable {variable!r} in sample at t={sample.time} is not a finite real number"
+        )
+    return x
+
+
 def signed_distance(sample: StateSample, predicate: Predicate) -> Rho:
     """Signed distance from the sample's value to the predicate's set."""
-    try:
-        x = sample.values[predicate.variable]
-    except KeyError:
-        raise KeyError(
-            f"unknown variable {predicate.variable!r} in sample at t={sample.time}"
-        ) from None
-    return predicate.distance(x)
+    return predicate.distance(sample_value(sample, predicate.variable))
 
 
 _NUM = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"  # ASCII digits only

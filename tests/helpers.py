@@ -11,6 +11,9 @@ from mtlmon.formula import SINCE, Interval, SurfaceNode
 
 ATOMS = ("a", "b", "c")
 
+# sample values that are not finite real numbers: Monitor.step and the oracle refuse each
+BAD_VALUES = (math.nan, math.inf, -math.inf, "1.0", None, 10**400, True)
+
 
 def random_core_text(rng: random.Random, max_depth: int = 4, max_bound: int = 8) -> str:
     """Random fully parenthesized formula over the core operators only."""

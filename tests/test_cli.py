@@ -119,13 +119,14 @@ def test_monitor_exit_codes(tmp_path, capsys):
         ("trace", b"time,x\n0.0,1\n0.1," + b"1" * 140000 + b"\n", 3),  # over csv's field limit
         ("trace", b"time,x\n-1e308,1\n1e308,1\n", 3),  # the period overflows to inf
         ("formula", b"p or \xff", 4),
+        ("formula", "é or ".encode() + b"\xff", 4),  # é is one character in two bytes
         ("predicates", b"p : x >= 0  # \xff\n", 4),
         ("formula", b"(" * 170 + b"p" + b")" * 170, 4),  # nested past the recursion limit
         ("formula", b"not " * 990 + b"p", 4),
     ],
     ids=[
         "trace-not-utf8", "trace-field-over-limit", "trace-period-inf",
-        "formula-not-utf8", "predicates-not-utf8", "parens", "nots",
+        "formula-not-utf8", "formula-not-utf8-after-multibyte", "predicates-not-utf8", "parens", "nots",
     ],
 )
 def test_monitor_rejects_bad_files_in_one_line(tmp_path, capsys, which, content, code):
@@ -136,6 +137,8 @@ def test_monitor_rejects_bad_files_in_one_line(tmp_path, capsys, which, content,
     assert len(err.splitlines()) == 1
     if b"\xff" in content:  # each file's error names the byte, as the trace's does
         assert "is not UTF-8 text: byte 0xff (" in err
+    if which == "formula" and b"\xff" in content:  # a ParseError position counts characters
+        assert err.endswith("(at position 5)\n")
 
 
 def test_monitor_seconds_units_converts_every_formula_that_parses(tmp_path):

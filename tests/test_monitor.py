@@ -22,7 +22,14 @@ from mtlmon import monitor as monitor_module
 from mtlmon.formula import ATOM, SINCE, UNTIL, CoreNode, Formula, Interval
 from mtlmon.oracle import Trace
 
-from helpers import contains_unbounded_since, perfect_series, random_core_text, random_predicates, random_trace
+from helpers import (
+    BAD_VALUES,
+    contains_unbounded_since,
+    perfect_series,
+    random_core_text,
+    random_predicates,
+    random_trace,
+)
 
 INF = math.inf
 
@@ -420,7 +427,7 @@ def test_rejected_step_leaves_monitor_unchanged():
     before = (mon.table.tobytes(), mon.i)
     with pytest.raises(KeyError, match="unknown variable 'y'"):
         mon.step(StateSample({"x": 8.0}, 0.1))
-    for bad in (math.nan, INF, "1.0", None, 10**400, True):
+    for bad in BAD_VALUES:
         with pytest.raises(ValueError, match=re.escape(f"value {bad!r} of variable 'x' in sample at t=0.1 is not")):
             mon.step(StateSample({"x": bad, "y": 0.0}, 0.1))
         assert (mon.table.tobytes(), mon.i) == before

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mtlmon import (
+    Monitor,
     Predicate,
     StateSample,
     Trace,
@@ -14,7 +16,15 @@ from mtlmon import (
     offline_robustness_series,
 )
 
-from helpers import has_unbounded, mirror, random_core_text, random_predicates, random_surface_tree, random_trace
+from helpers import (
+    BAD_VALUES,
+    has_unbounded,
+    mirror,
+    random_core_text,
+    random_predicates,
+    random_surface_tree,
+    random_trace,
+)
 
 
 def xy_trace(points):
@@ -216,8 +226,18 @@ def test_trace_rejects_non_uniform_times():
         ([math.nan], None, "non-finite time nan at row 0"),
         ([0.0, math.nan, 0.2], 0.1, "non-finite time nan at row 1"),
         ([0.0, 0.1], math.inf, "sampling period must be positive and finite, got inf"),
+        ([0.0, "0.1"], 0.1, "non-finite time '0.1' at row 1"),
+        ([None], None, "non-finite time None at row 0"),
+        ([10**400], None, "non-finite time 10+ at row 0"),
+        ([True], None, "non-finite time True at row 0"),
+        ([0.0, 1.0], True, "sampling period must be positive and finite, got True"),
+        ([0.0, 1.0], "1.0", "sampling period must be positive and finite, got '1.0'"),
+        ([0.0, 1.0], 10**400, "sampling period must be positive and finite, got 10+$"),
     ],
-    ids=["nan-single", "nan-middle", "inf-period"],
+    ids=[
+        "nan-single", "nan-middle", "inf-period", "str", "none", "int-over-float-range", "bool",
+        "bool-period", "str-period", "int-period-over-float-range",
+    ],
 )
 def test_trace_rejects_non_finite_times_and_period(times, delta_t, message):
     with pytest.raises(ValueError, match=message):
@@ -229,3 +249,53 @@ def test_trace_requires_period_for_several_samples():
     with pytest.raises(ValueError, match="sampling period missing"):
         Trace(samples)
     assert len(Trace(samples[:1])) == 1
+
+
+PQ = {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)}
+
+
+def raised(call, *args):
+    """The type and text of the exception that call(*args) raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_oracle_refuses_what_the_monitor_refuses():
+    f = compile_formula("p since[0,2] q")
+    first = StateSample({"x": 1.0, "y": 0.0}, 0.0)
+    for values in ({"y": 0.0}, *({"x": bad, "y": 0.0} for bad in BAD_VALUES)):
+        trace = Trace((first, StateSample(values, 0.1)), 0.1)
+        mon = Monitor(f, PQ)
+        mon.step(first)
+        expected = raised(mon.step, trace.samples[1])
+        assert expected is not None and expected[0] is (ValueError if "x" in values else KeyError)
+        assert raised(offline_robustness, f, PQ, trace, 1) == expected
+        assert raised(offline_robustness_series, f, PQ, trace) == expected
+        assert raised(boolean_eval, f, PQ, trace, 1) == expected
+
+
+def test_oracle_and_monitor_take_other_reals():
+    f = compile_formula("q since[0,2] p")
+    trace = Trace((StateSample({"x": 3, "y": np.float32(0.0)}, 0.0),))
+    assert offline_robustness(f, PQ, trace, 0) == Monitor(f, PQ).step(trace.samples[0]) == 3.0
+    assert boolean_eval(f, PQ, trace, 0) is True
+
+
+@pytest.mark.parametrize(
+    "text, steps", [("p", [0]), ("eventually[0,1] p", [0]), ("historically[0,1] p", [0, 1])]
+)
+def test_nan_sample_raises_wherever_it_is_read(text, steps):
+    # min and max over a NaN give nan, +inf or -inf by the order of their
+    # operands, so every read of one raises instead
+    f = compile_formula(text)
+    trace = Trace((StateSample({"x": math.nan}, 0.0), StateSample({"x": 1.0}, 0.1)), 0.1)
+    message = "value nan of variable 'x' in sample at t=0.0 is not a finite real number"
+    for i in steps:
+        for call in (offline_robustness, boolean_eval):
+            with pytest.raises(ValueError, match=message):
+                call(f, PQ, trace, i)
+    with pytest.raises(ValueError, match=message):
+        offline_robustness_series(f, PQ, trace)
