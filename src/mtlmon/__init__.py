@@ -19,8 +19,6 @@ from .semantics import (
     PredicateError,
     Rho,
     StateSample,
-    emax,
-    emin,
     parse_predicates,
     signed_distance,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "PredicateError",
     "Rho",
     "StateSample",
-    "emax",
-    "emin",
     "parse_predicates",
     "signed_distance",
     "ConfigError",

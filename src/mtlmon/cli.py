@@ -159,7 +159,9 @@ def gen_template(kind: str, n: int, horizon: int) -> str:
         raise ConfigError(f"template kind must be E or U, got {kind!r}")
     if not 1 <= n <= 9:
         raise ConfigError(f"nesting depth must be in 1..9, got {n}")
-    if horizon <= 0 or horizon % n:
+    if horizon <= 0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
+    if horizon % n:
         raise ConfigError(f"n must divide H: {n} does not divide {horizon}")
     h = horizon // n
 

@@ -2,13 +2,19 @@
 
 Robustness values live on the extended real line: ordinary floats plus
 +inf and -inf.  Sample values are finite reals, and one rule,
-`finite_real`, says which values those are.  It has three users:
-`Monitor.step` and the oracle (through `signed_distance`) read every
-sample value through `sample_value`, so they refuse the same values
-(NaN, infinities, bools, non-numbers) with the same exception and
-message, and `Trace` checks sample times and its period by it.  Max and min over empty collections follow the
-lattice conventions (max of nothing is -inf, min of nothing is +inf),
-which is what makes empty temporal windows come out right.
+`finite_real`, says which values those are.  `Monitor.step` and the
+oracle (through `signed_distance`) read every sample value through
+`sample_value`, so they refuse the same values (NaN, infinities, bools,
+non-numbers) with the same exception and message; `Trace` checks sample
+times and its period by it, and `gen_case_study_trace` its scenario
+parameters.
+
+Max and min over empty windows follow the lattice conventions: the max
+of nothing is -inf and the min of nothing is +inf, which is what makes
+windows that reach before the stream start or past the data come out
+right.  Each evaluator holds them where it makes verdicts: the oracle as
+the bottom and top of its `_ROBUSTNESS` lattice, the monitor as its
+table's -inf start and pad and the +inf seed of its running minima.
 """
 
 from __future__ import annotations
@@ -17,30 +23,12 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Rho = float  # extended real; +inf and -inf are legal, NaN is not
 
 POS_INF = math.inf
 NEG_INF = -math.inf
-
-
-def emax(values: Iterable[Rho]) -> Rho:
-    """Maximum over extended reals; -inf for an empty collection."""
-    best = NEG_INF
-    for v in values:
-        if v > best:
-            best = v
-    return best
-
-
-def emin(values: Iterable[Rho]) -> Rho:
-    """Minimum over extended reals; +inf for an empty collection."""
-    best = POS_INF
-    for v in values:
-        if v < best:
-            best = v
-    return best
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 from .oracle import Trace
-from .semantics import Rho, StateSample
+from .semantics import Rho, StateSample, finite_real
 
 
 class TraceError(ValueError):
@@ -167,7 +167,13 @@ def gen_case_study_trace(
     delta_t: float,
 ) -> Trace:
     """Synthetic normalized-ratio signal: baseline 1.0 with one rectangular
-    excursion to 1.2 (outside the +/-10% band) over the given window."""
+    excursion to 1.2 (outside the +/-10% band) over the given window.
+    Each argument must be a finite real number (semantics.finite_real);
+    any other, like a bad geometry, raises ConfigError."""
+    args = {"excursion_start": excursion_start, "excursion_len": excursion_len, "total": total, "delta_t": delta_t}
+    for name, value in args.items():
+        if not finite_real(value):
+            raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     if delta_t <= 0:
         raise ConfigError(f"sampling period must be positive, got {delta_t}")
     if total <= 0 or excursion_start < 0 or excursion_len < 0 or excursion_start + excursion_len > total:

@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import replace
 
-from mtlmon import Monitor, Predicate, StateSample, Trace
+from mtlmon import Monitor, Predicate, StateSample, Trace, offline_robustness_series
 from mtlmon.formula import SINCE, Interval, SurfaceNode
 
 ATOMS = ("a", "b", "c")
@@ -152,6 +152,21 @@ def perfect_series(formula, predicates, trace: Trace):
     for i in range(len(trace.samples) - horizon):
         outs.append(mon.step(trace.samples[i], list(trace.samples[i + 1 : i + 1 + horizon])))
     return outs, mon
+
+
+def agreed_series(formula, predicates, trace: Trace) -> list[float]:
+    """Robustness at every step, from the monitor under perfect predictions
+    and from the oracle, which must agree exactly."""
+    outs, _ = perfect_series(formula, predicates, trace)
+    assert outs == offline_robustness_series(formula, predicates, trace)
+    return outs
+
+
+def column_trace(**columns) -> Trace:
+    """Trace sampled every 0.1 s whose variables take the given equal-length
+    lists of values."""
+    rows = zip(*columns.values())
+    return Trace(tuple(StateSample(dict(zip(columns, row)), k * 0.1) for k, row in enumerate(rows)), 0.1)
 
 
 def contains_unbounded_since(formula) -> bool:

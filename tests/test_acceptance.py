@@ -9,6 +9,8 @@ import math
 import random
 import resource
 import time
+import warnings
+from itertools import accumulate
 
 from mtlmon import (
     Monitor,
@@ -16,8 +18,6 @@ from mtlmon import (
     StateSample,
     boolean_eval,
     compile_formula,
-    emax,
-    emin,
     offline_robustness_series,
 )
 from mtlmon.cli import case_study_formula, case_study_predicates, gen_template, run_bench_sweep, run_case_study
@@ -25,6 +25,8 @@ from mtlmon.formula import UNTIL
 from mtlmon.traceio import gen_case_study_trace
 
 from helpers import (
+    agreed_series,
+    column_trace,
     contains_unbounded_since,
     perfect_series,
     random_core_text,
@@ -247,11 +249,25 @@ def _suite_sign_soundness(rng):
 
 
 def _suite_extrema_conventions(rng):
-    assert emax([]) == -math.inf and emin([]) == math.inf
-    for _ in range(200):
-        n = rng.randint(0, 8)
-        values = [rng.choice((rng.uniform(-5, 5), math.inf, -math.inf)) for _ in range(n)]
-        assert emin(values) == -emax([-v for v in values])
+    """once and historically windows are the max and min of their values
+    over the extended reals, through Monitor.step and the oracle: n values
+    drawn from finite, +inf and -inf, a window [0, n-1] that ends up
+    holding all of them, and a window [1, n] that is empty at step 0,
+    where the max of nothing is -inf and the min of nothing is +inf."""
+    p = Predicate("p", "x", lo=0.0, gain=10.0)  # 10 * x; +-1e308 overflows to +-inf
+    assert (p.distance(1e308), p.distance(-1e308)) == (math.inf, -math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow to +-inf is silent on both sides
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            xs = [rng.choice((rng.uniform(-5, 5), 1e308, -1e308)) for _ in range(n)]
+            values = [p.distance(x) for x in xs]
+            trace = column_trace(x=xs)
+            for lo in (0, 1):
+                for op, join, empty in (("once", max, -math.inf), ("historically", min, math.inf)):
+                    formula = compile_formula(f"{op}[{lo},{lo + n - 1}] p")
+                    expect = [empty] * lo + list(accumulate(values, join))[: n - lo]
+                    assert agreed_series(formula, {"p": p}, trace) == expect
 
 
 def test_criterion_6_property_suites():

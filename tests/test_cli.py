@@ -18,6 +18,7 @@ from mtlmon.cli import (
     run_case_study,
 )
 from mtlmon.formula import desugar, format_formula, parse_formula
+from mtlmon.traceio import gen_case_study_trace
 
 from helpers import ATOMS, random_core_text, random_predicates, random_surface_tree, random_trace
 
@@ -232,6 +233,9 @@ def test_gen_template_guards():
         gen_template("X", 1, 1000)
     with pytest.raises(ConfigError, match="1..9"):
         gen_template("E", 0, 1000)
+    for horizon in (0, -4):
+        with pytest.raises(ConfigError, match=f"^horizon must be positive, got {horizon}$"):
+            gen_template("E", 1, horizon)
 
 
 def test_run_bench_guards_step_count():
@@ -302,9 +306,34 @@ def test_case_study_cli_writes_csv(tmp_path):
     assert len(read_values(out)) == 151
 
 
-def test_case_study_pt_with_fail_flag_exits_two(tmp_path):
-    from mtlmon.traceio import gen_case_study_trace
+@pytest.mark.parametrize(
+    "flag, name, value",
+    [
+        ("--dt", "delta_t", "nan"),
+        ("--dt", "delta_t", "inf"),
+        ("--total", "total", "nan"),
+        ("--total", "total", "inf"),
+        ("--excursion-start", "excursion_start", "nan"),
+        ("--excursion-len", "excursion_len", "nan"),
+    ],
+)
+def test_case_study_rejects_non_finite_arguments(tmp_path, capsys, flag, name, value):
+    """NaN or an infinity in any scenario parameter is a ConfigError from
+    the library and one error line with exit 1 from the CLI, not a
+    traceback or a signal with no excursion."""
+    args = {"excursion_start": 2.0, "excursion_len": 2.5, "total": 6.0, "delta_t": 0.01}
+    args[name] = float(value)
+    message = f"{name} must be a finite real number, got {float(value)!r}"
+    with pytest.raises(ConfigError) as exc:
+        gen_case_study_trace(**args)
+    assert str(exc.value) == message
+    out = tmp_path / "case.csv"
+    assert main(["case-study", "--variant", "pt", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
+
+def test_case_study_pt_with_fail_flag_exits_two(tmp_path):
     trace = gen_case_study_trace(2.0, 2.5, 6.0, 0.01)
     trace_csv = "time,lambda\n" + "".join(
         f"{s.time!r},{s.values['lambda']!r}\n" for s in trace.samples

@@ -260,6 +260,45 @@ def test_elementwise_rows_take_numpy_when_a_step_recomputes_several_cells(text, 
     assert all(row.vector == vector for row in elementwise)
 
 
+# The four benchmark specifications (perfbench/reference.py), copied as
+# text.  The benchmark's peak_rss_mb grows with run length, so a routing
+# change that makes a workload's steps faster also moves its memory
+# reading (ROADMAP).  This pins each row's path as it is, so that a
+# change of routing has to change this test on purpose.
+@pytest.mark.parametrize(
+    "text, windowed, elementwise",
+    [
+        (  # past-settle
+            "(not lam_ok -> once[0,100] historically[0,100] lam_ok)"
+            " and historically[0,200] (lam_ok since[0,inf) idle)",
+            [(SINCE, 0, 100, True), (SINCE, 0, 100, True), (SINCE, 0, 200, True), (SINCE, 0, INF, False)],
+            False,
+        ),
+        (  # mixed-hold
+            "historically[0,30] (a -> eventually[0,10] b) and (c until[0,5] d) and once[0,8] d",
+            [(SINCE, 0, 8, False), (SINCE, 0, 30, False), (UNTIL, 0, 5, False), (UNTIL, 0, 10, False)],
+            True,
+        ),
+        ("p0 -> eventually[0,500] p1", [(UNTIL, 0, 500, True)], True),  # template-E
+        (  # wide-log
+            "historically[0,4] (a_ok or b_ok) and once[0,3] c_ok",
+            [(SINCE, 0, 3, False), (SINCE, 0, 4, False)],
+            False,
+        ),
+    ],
+)
+def test_benchmark_specifications_keep_their_row_routing(text, windowed, elementwise):
+    f = compile_formula(text)
+    mon = Monitor(f, {name: Predicate(name, name, lo=0.0) for name in f.atom_names})
+    rows = list(zip(f.nodes, mon._rows))
+    assert sorted(
+        (node.kind, node.interval.lower, node.interval.upper, row.vector)
+        for node, row in rows
+        if node.kind in (UNTIL, SINCE)
+    ) == windowed
+    assert {row.vector for node, row in rows if node.kind not in (UNTIL, SINCE)} == {elementwise}
+
+
 def assert_recomputed_cells_equal_cr(mon):
     """Every cell the last step recomputed equals cr() over the table as
     it stands: the numpy kernels against the per-cell definition."""

@@ -9,13 +9,13 @@ from mtlmon import (
     StateSample,
     boolean_eval,
     compile_formula,
-    emax,
-    emin,
     offline_robustness,
     offline_robustness_series,
 )
 
 from helpers import (
+    agreed_series,
+    column_trace,
     perfect_series,
     random_core_text,
     random_past_text,
@@ -127,16 +127,28 @@ def test_sign_soundness():
 
 
 def test_extrema_de_morgan_and_empty_conventions():
+    """Window min and max over the extended reals, through the monitor and
+    the oracle: historically p is minus once over the negated signal, it is
+    at most once p, and before a window's first step exists the two are
+    +inf and -inf."""
     rng = random.Random(83)
+    predicates = {name: Predicate(name, var, lo=0.0, gain=10.0) for name, var in (("p", "x"), ("q", "y"))}
     for _ in range(200):
-        n = rng.randint(0, 8)
-        values = [rng.choice((rng.uniform(-5, 5), math.inf, -math.inf)) for _ in range(n)]
-        assert emin(values) == -emax([-v for v in values])
-        if not values:
-            assert emax(values) == -math.inf
-            assert emin(values) == math.inf
-        else:
-            assert emin(values) <= emax(values)
+        n = rng.randint(1, 8)
+        xs = [rng.choice((rng.uniform(-5, 5), 1e308, -1e308)) for _ in range(n)]  # 10 * 1e308 is inf
+        trace = column_trace(x=xs, y=[-x for x in xs])
+        lo = rng.randint(0, n)
+        up = rng.randint(lo, n + 2)
+        low, high, dual = (
+            agreed_series(compile_formula(text), predicates, trace)
+            for text in (f"historically[{lo},{up}] p", f"once[{lo},{up}] p", f"once[{lo},{up}] q")
+        )
+        assert low == [-v for v in dual]
+        for i in range(n):
+            if i < lo:
+                assert (low[i], high[i]) == (math.inf, -math.inf)
+            else:
+                assert low[i] <= high[i]
 
 
 def test_hold_equals_perfect_on_past_only_formulas():

@@ -10,29 +10,39 @@ from mtlmon import (
     PredicateError,
     StateSample,
     compile_formula,
-    emax,
-    emin,
     parse_predicates,
     signed_distance,
 )
 
+from helpers import agreed_series, column_trace
+
 INF = math.inf
 
 
-def test_emax_empty_is_neg_inf():
-    assert emax([]) == -INF
+def window_series(text, xs):
+    """Robustness at every step of `text` over p : x >= 0 with gain 10 and
+    the values xs of x, where +-1e308 gives a distance of +-inf; the
+    monitor and the oracle must agree on it."""
+    predicates = {"p": Predicate("p", "x", lo=0.0, gain=10.0)}
+    return agreed_series(compile_formula(text), predicates, column_trace(x=xs))
 
 
-def test_emin_empty_is_pos_inf():
-    assert emin([]) == INF
+def test_empty_once_window_is_neg_inf():
+    assert window_series("once[1,1] p", [0.5]) == [-INF]
+    assert window_series("once[2,5] p", [0.1, 0.2, 0.3]) == [-INF, -INF, 1.0]
+
+
+def test_empty_historically_window_is_pos_inf():
+    assert window_series("historically[1,1] p", [0.5]) == [INF]
+    assert window_series("historically[2,5] p", [0.1, 0.2, 0.3]) == [INF, INF, 1.0]
 
 
 def test_inf_is_identity_of_min():
-    assert emin([INF, 2.0]) == 2.0
+    assert window_series("historically[0,1] p", [1e308, 0.2]) == [INF, 2.0]
 
 
 def test_neg_inf_is_identity_of_max():
-    assert emax([-INF, -3.0, 1.0]) == 1.0
+    assert window_series("once[0,2] p", [-1e308, -0.3, 0.1]) == [-INF, -3.0, 1.0]
 
 
 def test_extended_negation_is_total():
