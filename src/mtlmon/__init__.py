@@ -13,19 +13,20 @@ from .formula import (
     parse_formula,
 )
 from .monitor import Monitor
-from .oracle import Trace, boolean_eval, offline_robustness, offline_robustness_series
+from .oracle import boolean_eval, offline_robustness, offline_robustness_series
 from .semantics import (
     Predicate,
     PredicateError,
     Rho,
     StateSample,
+    Trace,
+    TraceError,
     parse_predicates,
     signed_distance,
 )
 from .traceio import (
     ConfigError,
     PredictorMode,
-    TraceError,
     TraceExhausted,
     gen_case_study_trace,
     load_trace,

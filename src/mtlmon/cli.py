@@ -31,12 +31,10 @@ import numpy as np
 
 from .formula import Formula, Interval, ParseError, SurfaceNode, compile_formula, desugar, parse_formula
 from .monitor import Monitor
-from .oracle import Trace
-from .semantics import Predicate, PredicateError, StateSample, parse_predicates
+from .semantics import Predicate, PredicateError, StateSample, Trace, TraceError, parse_predicates
 from .traceio import (
     ConfigError,
     PredictorMode,
-    TraceError,
     check_predictor,
     gen_case_study_trace,
     load_trace,
@@ -185,17 +183,18 @@ def _bench_formula(kind: str, n: int, horizon: int) -> tuple[Formula, dict[str, 
     return formula, predicates
 
 
-def run_bench(kind: str, n: int, horizon: int, steps: int, seed: int = 0) -> BenchReport:
+def run_bench(kind: str, n: int, horizon: int, steps: int) -> BenchReport:
     """Time the per-step cost of the monitor on a template specification.
 
     Drives the monitor with a random-walk signal under held predictions
-    and times only the step() call, after a short untimed warm-up.
+    and times only the step() call, after a short untimed warm-up.  The
+    walk has a fixed seed: its values do not change the timings.
     """
     if steps < 30:
         raise ConfigError(f"steps >= 30 required, got {steps}")
     formula, predicates = _bench_formula(kind, n, horizon)
     mon = Monitor(formula, predicates)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     names = sorted(formula.atom_names)
     walk = {name: 0.0 for name in names}
     clock = 0
@@ -223,10 +222,10 @@ def run_bench(kind: str, n: int, horizon: int, steps: int, seed: int = 0) -> Ben
     return BenchReport(kind, n, horizon, steps, warmup_steps, mean_ms, variance_ms2)
 
 
-def run_bench_sweep(kind: str, n: int, steps: int, seed: int = 0) -> tuple[list[BenchReport], float]:
+def run_bench_sweep(kind: str, n: int, steps: int) -> tuple[list[BenchReport], float]:
     """Benchmark the window sizes SWEEP_HORIZONS; the returned slope is the
     least-squares fit of log(mean step time) against log(horizon)."""
-    reports = [run_bench(kind, n, horizon, steps, seed) for horizon in SWEEP_HORIZONS]
+    reports = [run_bench(kind, n, horizon, steps) for horizon in SWEEP_HORIZONS]
     slope = float(
         np.polyfit(
             np.log([r.horizon for r in reports]),
@@ -290,11 +289,11 @@ def run_case_study(
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.sweep:
-        reports, slope = run_bench_sweep(args.template, args.n, args.steps, seed=args.seed)
+        reports, slope = run_bench_sweep(args.template, args.n, args.steps)
     else:
         if args.horizon is None:
             raise ConfigError("--horizon is required without --sweep")
-        reports = [run_bench(args.template, args.n, args.horizon, args.steps, seed=args.seed)]
+        reports = [run_bench(args.template, args.n, args.horizon, args.steps)]
         slope = None
     for r in reports:
         print(
@@ -339,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--steps", type=int, default=100, help="timed steps (>= 30)")
     b.add_argument("--sweep", action="store_true",
                    help=f"sweep H over {SWEEP_HORIZONS} and report the log-log slope")
-    b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=_cmd_bench)
 
     c = sub.add_parser("case-study", help="run the settling-time scenario on a synthetic signal")

@@ -59,9 +59,14 @@ row takes numpy exactly when a steady step recomputes more than one of
 its cells, which is when the formula has a horizon: one numpy call costs
 more than one cr() cell, but less than the 11 or more cells such a row
 recomputes in the future-looking benchmark workloads.  An until or
-bounded since row takes numpy when its cells times its window reach
-_VECTOR_CELLS.  An until or since row reads the same window slices on
-both paths (Monitor._window: forward for until, mirrored in time for
+bounded since row takes numpy when the table width (history + 1 +
+horizon columns, not the row's recomputed cells) times its window
+(up - lo + 1 offsets) is at least _VECTOR_CELLS.  So a past-only row
+that recomputes one cell a step still takes numpy when the formula's
+history is long, as the since[0,100] and since[0,200] rows of the
+past-settle benchmark and the rows of the case study's pt variant
+(criterion 5) do.  An until or since row reads the same window slices
+on both paths (Monitor._window: forward for until, mirrored in time for
 since), and the two produce bit-identical results (min/max select, they
 never round).  An unbounded since always takes cr(): its running value
 is the cell it wrote one column to the left.
@@ -102,7 +107,7 @@ from .semantics import (
 
 _BLOCK = 1 << 20      # elements per running-minimum block: caps its memory at 8 MB
 _CHUNK = 1 << 15      # elements per chunk of a wide block's running minima: 256 KB
-_VECTOR_CELLS = 4096  # windowed rows go through numpy above this many cell-ops
+_VECTOR_CELLS = 4096  # windowed rows go through numpy when table width x window reaches this
 
 
 @dataclass(slots=True)

@@ -1,7 +1,9 @@
 """Reference evaluation of robustness and classical truth over whole traces.
 
-This module recomputes values directly from the defining semantics, with
-no incremental state, no table, and no running values.  It exists as ground
+This module only judges: it evaluates a formula over a `semantics.Trace`,
+and no other module of the package but `__init__` imports it.  It
+recomputes values directly from the defining semantics, with no
+incremental state, no table, and no running values.  It exists as ground
 truth for testing the streaming monitor, so it deliberately shares nothing
 with the monitor beyond the value domain, signed distances and the rule
 for sample values (semantics.sample_value): a sample the monitor refuses,
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .formula import ATOM, NOT, OR, TRUE, UNTIL, Formula
@@ -37,45 +38,9 @@ from .semantics import (
     Predicate,
     Rho,
     StateSample,
-    finite_real,
+    Trace,
     signed_distance,
 )
-
-
-@dataclass(frozen=True)
-class Trace:
-    """Uniformly sampled sequence of state samples.
-
-    delta_t is the sampling period, a positive finite real; None is allowed
-    only for traces of at most one sample, where no period can be inferred.
-    Timestamps must be finite real numbers (semantics.finite_real) and
-    uniform to a relative tolerance of 1e-6.
-    variables names the columns of the file a trace was loaded from, after
-    time and in header order, also when it has no rows; it is empty for a
-    trace built by hand.
-    """
-
-    samples: tuple[StateSample, ...]
-    delta_t: float | None = None
-    variables: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.delta_t is None and len(self.samples) > 1:
-            raise ValueError(f"sampling period missing for a trace of {len(self.samples)} samples")
-        bad = next((k for k, s in enumerate(self.samples) if not finite_real(s.time)), None)
-        if bad is not None:
-            raise ValueError(f"non-finite time {self.samples[bad].time!r} at row {bad}")
-        if self.delta_t is not None:
-            if not (finite_real(self.delta_t) and self.delta_t > 0):
-                raise ValueError(f"sampling period must be positive and finite, got {self.delta_t!r}")
-            tol = 1e-6 * self.delta_t
-            for k in range(1, len(self.samples)):
-                gap = self.samples[k].time - self.samples[k - 1].time
-                if abs(gap - self.delta_t) > tol:
-                    raise ValueError(f"non-uniform sampling at row {k}")
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 class _Lattice(NamedTuple):

@@ -1,4 +1,4 @@
-"""Extended-real robustness values and signed-distance predicates.
+"""Values, samples and traces, and the errors that refuse bad ones.
 
 Robustness values live on the extended real line: ordinary floats plus
 +inf and -inf.  Sample values are finite reals, and one rule,
@@ -7,7 +7,8 @@ oracle (through `signed_distance`) read every sample value through
 `sample_value`, so they refuse the same values (NaN, infinities, bools,
 non-numbers) with the same exception and message; `Trace` checks sample
 times and its period by it, and `gen_case_study_trace` its scenario
-parameters.
+parameters.  A `Trace` that is not uniformly sampled raises `TraceError`,
+whether it is built by hand or loaded by `load_trace`.
 
 Max and min over empty windows follow the lattice conventions: the max
 of nothing is -inf and the min of nothing is +inf, which is what makes
@@ -45,6 +46,47 @@ class StateSample:
 
     values: Mapping[str, float]
     time: float = 0.0
+
+
+class TraceError(ValueError):
+    """Malformed or inconsistent trace data."""
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Uniformly sampled sequence of state samples.
+
+    delta_t is the sampling period, a positive finite real; None is allowed
+    only for traces of at most one sample, where no period can be inferred.
+    Timestamps must be finite real numbers (`finite_real`) and uniform to
+    a relative tolerance of 1e-6; a trace that breaks any of these raises
+    TraceError.
+    variables names the columns of the file a trace was loaded from, after
+    time and in header order, also when it has no rows; it is empty for a
+    trace built by hand.
+    """
+
+    samples: tuple[StateSample, ...]
+    delta_t: float | None = None
+    variables: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.delta_t is None and len(self.samples) > 1:
+            raise TraceError(f"sampling period missing for a trace of {len(self.samples)} samples")
+        bad = next((k for k, s in enumerate(self.samples) if not finite_real(s.time)), None)
+        if bad is not None:
+            raise TraceError(f"non-finite time {self.samples[bad].time!r} at row {bad}")
+        if self.delta_t is not None:
+            if not (finite_real(self.delta_t) and self.delta_t > 0):
+                raise TraceError(f"sampling period must be positive and finite, got {self.delta_t!r}")
+            tol = 1e-6 * self.delta_t
+            for k in range(1, len(self.samples)):
+                gap = self.samples[k].time - self.samples[k - 1].time
+                if abs(gap - self.delta_t) > tol:
+                    raise TraceError(f"non-uniform sampling at row {k}")
+
+    def __len__(self) -> int:
+        return len(self.samples)
 
 
 class PredicateError(ValueError):

@@ -333,6 +333,39 @@ def test_case_study_rejects_non_finite_arguments(tmp_path, capsys, flag, name, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "total, dt, samples",
+    [("1e308", "1e-8", "inf"), ("6", "1e-300", "6e+300")],
+    ids=["count-overflows", "count-exceeds-memory"],
+)
+def test_case_study_refuses_more_samples_than_fit_in_memory(tmp_path, capsys, total, dt, samples):
+    """A sample count that overflows, or whose samples would not fit in
+    physical memory, is a ConfigError from the library and one error line
+    with exit 1 from the CLI, raised before any sample is built."""
+    with pytest.raises(ConfigError) as exc:
+        gen_case_study_trace(2.0, 2.5, float(total), float(dt))
+    message = str(exc.value)
+    assert message.startswith(f"{float(total)} s at a sampling period of {float(dt)} s is {samples} samples, ")
+    assert message.endswith(" bytes of physical memory")
+    out = tmp_path / "case.csv"
+    assert main(["case-study", "--variant", "pt", "--total", total, "--dt", dt, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_case_study_memory_check_reads_physical_memory(monkeypatch):
+    """The check is page size times physical pages, as for the monitor's
+    table: on a machine with 64 KiB the default 601-sample scenario is
+    refused, and with 1 GiB it is built."""
+    small = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+    monkeypatch.setattr("mtlmon.traceio.os", small)
+    with pytest.raises(ConfigError, match="is 601 samples, more than fit in the 65536 bytes of physical memory"):
+        gen_case_study_trace(2.0, 2.5, 6.0, 0.01)
+    large = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}.__getitem__)
+    monkeypatch.setattr("mtlmon.traceio.os", large)
+    assert len(gen_case_study_trace(2.0, 2.5, 6.0, 0.01)) == 601
+
+
 def test_case_study_pt_with_fail_flag_exits_two(tmp_path):
     trace = gen_case_study_trace(2.0, 2.5, 6.0, 0.01)
     trace_csv = "time,lambda\n" + "".join(

@@ -1,12 +1,15 @@
+import ast
 import csv
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mtlmon
 from mtlmon import (
     ConfigError,
     Monitor,
@@ -44,6 +47,65 @@ def test_load_uniform_trace(tmp_path):
 def test_load_skips_comments_and_blank_lines(tmp_path):
     path = write(tmp_path, "# a trace\ntime,x\n0.0,1.0\n\n# mid comment\n0.1,2.0\n")
     assert len(load_trace(path)) == 2
+
+
+@pytest.mark.parametrize(
+    "times, delta_t, csv_body, message",
+    [
+        ([0.0, 0.1], None, None, "sampling period missing for a trace of 2 samples"),
+        ([0.0, math.nan], 0.1, None, "non-finite time nan at row 1"),
+        ([0.1, 0.0], -0.1, "0.1,1.0\n0.0,1.0\n", "sampling period must be positive and finite, got -0.1"),
+        ([0.0, 0.1, 0.25], 0.1, "0.0,1.0\n0.1,1.0\n0.25,1.0\n", "non-uniform sampling at row 2"),
+    ],
+    ids=["period-missing", "non-finite-time", "decreasing-times", "non-uniform"],
+)
+def test_trace_checks_raise_one_trace_error(tmp_path, times, delta_t, csv_body, message):
+    """Each of Trace's checks raises TraceError with one message, whether
+    the trace is built by hand or, where a file can express the fault,
+    loaded by load_trace."""
+    with pytest.raises(TraceError) as built:
+        Trace(tuple(StateSample({"x": 1.0}, t) for t in times), delta_t)
+    assert type(built.value) is TraceError and str(built.value) == message
+    if csv_body is not None:
+        with pytest.raises(TraceError) as loaded:
+            load_trace(write(tmp_path, "time,x\n" + csv_body))
+        assert type(loaded.value) is TraceError and str(loaded.value) == message
+
+
+def package_imports() -> dict[str, set[str]]:
+    """Each module of the package, mapped to the package modules it imports."""
+    graph = {}
+    for path in Path(mtlmon.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mtlmon."):
+                names.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("mtlmon.")}
+        graph[path.stem] = names
+    return graph
+
+
+def test_package_modules_form_three_layers():
+    """formula and semantics import nothing from the package; the two
+    evaluators import only those; traceio imports only semantics; and the
+    oracle, the reference judge, is imported by no module but __init__."""
+    graph = package_imports()
+    assert {"formula", "semantics", "monitor", "oracle", "traceio", "cli", "__init__"} <= set(graph)
+    assert graph["formula"] == graph["semantics"] == set()
+    assert graph["monitor"] <= {"formula", "semantics"}
+    assert graph["oracle"] <= {"formula", "semantics"}
+    assert graph["traceio"] == {"semantics"}
+    assert {name for name, imports in graph.items() if "oracle" in imports} == {"__init__"}
+
+
+def test_trace_and_trace_error_are_defined_once():
+    assert Trace.__module__ == TraceError.__module__ == "mtlmon.semantics"
+    assert mtlmon.semantics.Trace is mtlmon.oracle.Trace is Trace
+    assert mtlmon.semantics.TraceError is mtlmon.traceio.TraceError is TraceError
+    assert issubclass(TraceError, ValueError) and issubclass(TraceExhausted, TraceError)
 
 
 def test_load_rejects_non_uniform(tmp_path):
