@@ -23,10 +23,13 @@ eventually, always, next) must carry finite upper bounds; the since
 family may be unbounded.
 
 Everything compiles down to a core of {true, atom, not, or, until,
-since} before monitoring.  Each temporal operator has one entry in
-``_TEMPORAL``: its spellings, its core kind and its shape, which is one of
-four rewrites, written for the future operator and mirrored for the past
-one via since:
+since} before monitoring.  Each of the twelve operators has one entry in
+``_OPS``, which the tokenizer, the parser, the printer and the compiler
+all read: its spellings, its binding level (the grammar's precedence, 0
+for ``->`` to 4 for a prefix operator), its core kind (until, since, or
+none for a connective) and its shape.  A temporal operator's shape is one
+of four rewrites, written for the future operator and mirrored for the
+past one via since:
 
 * until:      ``p until[I] q`` is a core node (mirror: since),
 * next:       ``next p == true until[1,1] p`` (mirror: prev),
@@ -34,12 +37,12 @@ one via since:
 * always:     ``always[I] p == not eventually[I] not p`` (mirror:
   historically).
 
-The boolean ones rewrite the usual way: ``p and q == not (not p or not
-q)``, ``p -> q == not p or q`` and ``false == not true``.  A
-``[0,0]`` window reads only its trigger at the current step, so
-``p until[0,0] q == q`` and ``p since[0,0] q == q``: no compiled node has
-an interval with upper bound 0, whichever of the six windowed operators
-was written.
+A connective's shape is its own name.  The connectives and ``false``
+rewrite the usual way: ``p and q == not (not p or not q)``, ``p -> q ==
+not p or q`` and ``false == not true``.  A ``[0,0]`` window reads only
+its trigger at the current step, so ``p until[0,0] q == q`` and ``p
+since[0,0] q == q``: no compiled node has an interval with upper bound
+0, whichever of the six windowed operators was written.
 Double negations are dropped and structurally identical subterms are
 shared, so the compiled node array is a DAG of unique subformulas.
 
@@ -63,34 +66,42 @@ UNTIL = "until"
 SINCE = "since"
 
 
-class _Temporal(NamedTuple):
-    """Table entry of a temporal surface operator.
+class _Op(NamedTuple):
+    """Table entry of a surface operator, keyed by the name the parser
+    gives its node.
 
-    The parser, the printer and the compiler all read the entry.  The
-    shape names the future member of the operator's mirror pair (the four
-    rewrites in the module docstring).  The future operator compiles to
-    until and needs a bounded interval; its past mirror compiles to since
-    and may be unbounded.
+    A future temporal operator compiles to until and needs a bounded
+    interval; its past mirror compiles to since and may be unbounded.
     """
 
-    symbols: tuple[str, ...]  # spellings besides the operator's name
-    kind: str  # UNTIL or SINCE
-    shape: str  # "until", "next", "eventually" or "always"
+    spellings: tuple[str, ...]  # the first is the one the printer writes
+    level: int  # binds tighter the higher: 0 "->", 1 or, 2 and, 3 binary temporal, 4 prefix
+    kind: str | None  # UNTIL or SINCE; None for a connective
+    shape: str  # "until", "next", "eventually" or "always"; a connective's name
 
 
-# keyed by the name the parser gives the node and the printer writes
-_TEMPORAL = {
-    "until": _Temporal(("U",), UNTIL, "until"),
-    "since": _Temporal(("S",), SINCE, "until"),
-    "next": _Temporal((), UNTIL, "next"),
-    "prev": _Temporal((), SINCE, "next"),
-    "eventually": _Temporal(("<>",), UNTIL, "eventually"),
-    "once": _Temporal(("<*>",), SINCE, "eventually"),
-    "always": _Temporal(("[]",), UNTIL, "always"),
-    "historically": _Temporal(("[*]",), SINCE, "always"),
+_OPS = {
+    "implies": _Op(("->",), 0, None, "implies"),
+    "or": _Op(("or", "\\/"), 1, None, "or"),
+    "and": _Op(("and", "/\\"), 2, None, "and"),
+    "until": _Op(("until", "U"), 3, UNTIL, "until"),
+    "since": _Op(("since", "S"), 3, SINCE, "until"),
+    "not": _Op(("not", "!"), 4, None, "not"),
+    "next": _Op(("next",), 4, UNTIL, "next"),
+    "prev": _Op(("prev",), 4, SINCE, "next"),
+    "eventually": _Op(("eventually", "<>"), 4, UNTIL, "eventually"),
+    "once": _Op(("once", "<*>"), 4, SINCE, "eventually"),
+    "always": _Op(("always", "[]"), 4, UNTIL, "always"),
+    "historically": _Op(("historically", "[*]"), 4, SINCE, "always"),
 }
-_SPELLINGS = {s: name for name, op in _TEMPORAL.items() for s in (name, *op.symbols)}
-_RESERVED = {"true", "false", "not", "and", "or", "inf", *_TEMPORAL}
+# the operators that take an interval: every temporal one but next and prev
+_WINDOWED = {name for name, op in _OPS.items() if op.kind is not None and op.shape != "next"}
+# each node's type of name: only an atom has one
+_NAME_TYPE = {"atom": str, "true": type(None), "false": type(None), **dict.fromkeys(_OPS, type(None))}
+# per binding level: each spelling's operator name
+_SPELLINGS = [{s: name for name, op in _OPS.items() if op.level == level for s in op.spellings} for level in range(5)]
+# the printed spellings that are words; "U" and "S" remain atom names
+_RESERVED = {"true", "false", "inf", *(op.spellings[0] for op in _OPS.values() if op.spellings[0].isidentifier())}
 
 
 class ParseError(ValueError):
@@ -128,12 +139,37 @@ def _natural(bound: object) -> bool:
 
 @dataclass(frozen=True)
 class SurfaceNode:
-    """Node of the parsed syntax tree, before compilation to the core."""
+    """Node of the parsed syntax tree, before compilation to the core.
+
+    op is "atom", "true", "false" or an operator's name.  Only an atom has
+    a name, a str.  An operator takes two children at binding levels 0 to
+    3 and one at level 4, and an interval exactly when it is windowed,
+    bounded for a future one.  A node that breaks this raises ValueError.
+    """
 
     op: str
     children: tuple["SurfaceNode", ...] = ()
     interval: Interval | None = None
     name: str | None = None
+
+    def __post_init__(self) -> None:
+        # a leaf is built in the parser's deepest frame, where a comparison
+        # or a call (but type()) would count as one more level against the
+        # recursion limit and cut the deepest nesting that parses: a leaf's
+        # checks are dict lookups, truth tests and identities only
+        if self.op not in _NAME_TYPE:
+            raise ValueError(f"unknown operator {self.op!r}")
+        if type(self.name) is not _NAME_TYPE[self.op]:
+            raise ValueError(f"{self.op!r} takes {'a str' if self.op == ATOM else 'no'} name, got {self.name!r}")
+        if self.op not in _OPS:
+            if self.children or self.interval is not None:
+                raise ValueError(f"{self.op!r} takes no operands and no interval")
+        elif len(self.children) != (1 if _OPS[self.op].level == 4 else 2):
+            raise ValueError(f"wrong number of operands for {self.op!r}: {len(self.children)}")
+        elif (self.op in _WINDOWED) != (self.interval is not None):
+            raise ValueError(f"{self.op!r} takes {'an' if self.op in _WINDOWED else 'no'} interval, got {self.interval}")
+        elif _OPS[self.op].kind == UNTIL and self.interval is not None and self.interval.upper == math.inf:
+            raise ValueError(f"unbounded future interval on {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -186,10 +222,12 @@ class Formula:
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
+# the spellings that are not words, longest first: none is cut short by one that begins it
+_SYMBOLS = sorted((s for op in _OPS.values() for s in op.spellings if not s.isidentifier()), key=len, reverse=True)
 _TOKEN_RE = re.compile(
     r"(?P<nat>[0-9]+)"  # ASCII digits only: \d would take any Unicode digit
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<sym><\*>|\[\*\]|<>|\[\]|->|\\/|/\\|[()\[\],!])"
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r"|[()\[\],])"
 )
 
 
@@ -238,52 +276,34 @@ class _Parser:
             _, text, pos = self.peek()
             raise ParseError(f"expected {what}, found {text or 'end of input'!r}", pos)
 
-    def implies(self) -> SurfaceNode:
-        left = self.or_()
-        if self.match("->"):
-            return SurfaceNode("implies", (left, self.implies()))
-        return left
+    def operator(self, level: int) -> str | None:
+        """Take an operator of the given binding level; return its name."""
+        names = _SPELLINGS[level]
+        return names[self.take()[1]] if self.at(*names) else None
 
-    def or_(self) -> SurfaceNode:
-        node = self.and_()
-        while self.match("or", "\\/"):
-            node = SurfaceNode("or", (node, self.and_()))
+    def infix(self, level: int) -> SurfaceNode:
+        """A formula whose operators bind at `level` (0 to 3) or tighter.
+        One frame per level, so what parses is never too deep to compile."""
+        node = self.infix(level + 1) if level < 3 else self.unary()
+        while name := self.operator(level):
+            if level == 0:  # "->" groups to the right
+                return SurfaceNode(name, (node, self.infix(0)))
+            if level == 3:  # a binary temporal operator takes an interval and does not chain
+                iv = self.interval(name)
+                return SurfaceNode(name, (node, self.unary()), iv)
+            node = SurfaceNode(name, (node, self.infix(level + 1)))
         return node
-
-    def and_(self) -> SurfaceNode:
-        node = self.binary()
-        while self.match("and", "/\\"):
-            node = SurfaceNode("and", (node, self.binary()))
-        return node
-
-    def temporal(self, binary: bool) -> str | None:
-        """Take a temporal operator of the given arity; return its name."""
-        name = _SPELLINGS.get(self.peek()[1])
-        if name is None or (_TEMPORAL[name].shape == "until") != binary:
-            return None
-        self.idx += 1
-        return name
-
-    def binary(self) -> SurfaceNode:
-        left = self.unary()
-        name = self.temporal(binary=True)
-        if name is None:
-            return left
-        iv = self.interval(name)
-        return SurfaceNode(name, (left, self.unary()), iv)
 
     def unary(self) -> SurfaceNode:
-        if self.match("not", "!"):
-            return SurfaceNode("not", (self.unary(),))
-        name = self.temporal(binary=False)
+        name = self.operator(4)
         if name is None:
             return self.primary()
-        iv = None if _TEMPORAL[name].shape == "next" else self.interval(name)
+        iv = self.interval(name) if name in _WINDOWED else None
         return SurfaceNode(name, (self.unary(),), iv)
 
     def primary(self) -> SurfaceNode:
         if self.match("("):
-            node = self.implies()
+            node = self.infix(0)
             self.expect(")", "')'")
             return node
         if self.match("true"):
@@ -303,7 +323,7 @@ class _Parser:
         self.expect(",", "','")
         if self.at("inf"):
             _, _, pos = self.take()
-            if _TEMPORAL[op].kind == UNTIL:
+            if _OPS[op].kind == UNTIL:
                 raise ParseError(f"unbounded future interval on {op!r}", pos)
             self.expect(")", "')' closing an unbounded interval")
             return Interval(lower, math.inf)
@@ -325,7 +345,7 @@ def parse_formula(text: str) -> SurfaceNode:
     """Parse specification text into a surface syntax tree."""
     parser = _Parser(_tokenize(text))
     try:
-        tree = parser.implies()
+        tree = parser.infix(0)
     except RecursionError:
         raise ParseError("formula nested too deeply", parser.peek()[2]) from None
     kind, tok, pos = parser.peek()
@@ -337,40 +357,25 @@ def parse_formula(text: str) -> SurfaceNode:
 # ---------------------------------------------------------------------------
 # Pretty printer (inverse of parse_formula up to tree equality)
 
-_LEVEL = {"implies": 0, "or": 1, "and": 2, "not": 4, "atom": 5, "true": 5, "false": 5}
-_LEVEL.update((name, 3 if op.shape == "until" else 4) for name, op in _TEMPORAL.items())
-
-
 def format_formula(tree: SurfaceNode) -> str:
     """Render a surface tree back to parseable text with minimal parens."""
     return _fmt(tree, 0)
 
 
 def _fmt(node: SurfaceNode, need: int) -> str:
-    op = node.op
-    if op == "atom":
-        text = node.name
-    elif op in ("true", "false"):
-        text = op
-    elif op == "not" or op in _TEMPORAL:  # prefix; until and since also take a left operand
-        head = op if node.interval is None else f"{op}{node.interval}"
-        text = f"{head} {_fmt(node.children[-1], 4)}"
-        if len(node.children) == 2:
-            text = f"{_fmt(node.children[0], 4)} {text}"
-    elif op == "and":
-        left, right = node.children
-        text = f"{_fmt(left, 2)} and {_fmt(right, 3)}"
-    elif op == "or":
-        left, right = node.children
-        text = f"{_fmt(left, 1)} or {_fmt(right, 2)}"
-    elif op == "implies":
-        left, right = node.children
-        text = f"{_fmt(left, 1)} -> {_fmt(right, 0)}"
-    else:
-        raise ValueError(f"unknown operator {op!r}")
-    if _LEVEL[op] < need:
-        return f"({text})"
-    return text
+    """The node's text, in parentheses if it binds looser than level need."""
+    if node.op in ("atom", "true", "false"):
+        return node.name if node.op == "atom" else node.op
+    spellings, level, _, _ = _OPS[node.op]
+    head = f"{spellings[0]}{node.interval or ''}"
+    # an operand must bind tighter than its operator, except on the side
+    # the operator groups to (the right of "->" and of a prefix operator,
+    # the left of or and and), where it may bind as loosely; a binary
+    # temporal operator groups to neither side
+    text = f"{head} {_fmt(node.children[-1], level if level in (0, 4) else level + 1)}"
+    if len(node.children) == 2:
+        text = f"{_fmt(node.children[0], level if level in (1, 2) else level + 1)} {text}"
+    return f"({text})" if level < need else text
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +436,6 @@ class _CoreBuilder:
     def mk_true(self) -> int:
         return self.intern(TRUE)
 
-    def mk_atom(self, name: str) -> int:
-        return self.intern(ATOM, name=name)
-
     def mk_not(self, m: int) -> int:
         if self.entries[m].kind == NOT:
             return self.entries[m].left
@@ -454,22 +456,20 @@ class _CoreBuilder:
     def lower(self, t: SurfaceNode) -> int:
         op = t.op
         if op == "atom":
-            return self.mk_atom(t.name)
+            return self.intern(ATOM, name=t.name)
         if op == "true":
             return self.mk_true()
         if op == "false":
             return self.mk_not(self.mk_true())
-        if op == "not":
+        _, _, kind, shape = _OPS[op]
+        if shape == "not":
             return self.mk_not(self.lower(t.children[0]))
-        if op == "or":
+        if shape == "or":
             return self.mk_or(self.lower(t.children[0]), self.lower(t.children[1]))
-        if op == "and":
+        if shape == "and":
             return self.mk_and(self.lower(t.children[0]), self.lower(t.children[1]))
-        if op == "implies":
+        if shape == "implies":
             return self.mk_or(self.mk_not(self.lower(t.children[0])), self.lower(t.children[1]))
-        if op not in _TEMPORAL:
-            raise ValueError(f"unknown operator {op!r}")
-        _, kind, shape = _TEMPORAL[op]
         if shape == "until":
             return self.mk_window(kind, self.lower(t.children[0]), self.lower(t.children[1]), t.interval)
         if shape == "always":

@@ -87,13 +87,13 @@ in cache, and the next chunk continues from its last row.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import semantics
 from .formula import ATOM, NOT, OR, SINCE, TRUE, UNTIL, Formula
 from .semantics import (
     NEG_INF,
@@ -155,7 +155,7 @@ class Monitor:
         pad = max((int(n.interval.upper) for n in formula.nodes if n.kind == UNTIL), default=0)
         shape = (len(formula.nodes), self.width + 1 + pad)
         size = 8 * shape[0] * shape[1]  # float64; np.full touches every page
-        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        ram = semantics.physical_memory()
         if size > ram:
             raise MemoryError(
                 f"monitor table {shape[0]} x {shape[1]} needs {size} bytes, "

@@ -6,9 +6,10 @@ Robustness values live on the extended real line: ordinary floats plus
 oracle (through `signed_distance`) read every sample value through
 `sample_value`, so they refuse the same values (NaN, infinities, bools,
 non-numbers) with the same exception and message; `Trace` checks sample
-times and its period by it, and `gen_case_study_trace` its scenario
-parameters.  A `Trace` that is not uniformly sampled raises `TraceError`,
-whether it is built by hand or loaded by `load_trace`.
+times and its period by it, `Predicate` its bounds and gain, and
+`gen_case_study_trace` its scenario parameters.  A `Trace` that is not
+uniformly sampled raises `TraceError`, whether it is built by hand or
+loaded by `load_trace`.
 
 Max and min over empty windows follow the lattice conventions: the max
 of nothing is -inf and the min of nothing is +inf, which is what makes
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -103,6 +105,9 @@ class Predicate:
     giving the half-line forms ``variable <= hi`` and ``variable >= lo``;
     the other must be finite.  `gain`, finite and positive, scales the
     distance, so predicates can be weighted without rewriting traces.
+    Each bound is a finite real number or a float infinity, and the gain a
+    finite real number (`finite_real`: not a bool, not an int beyond float
+    range); any other value raises PredicateError.
     """
 
     name: str
@@ -112,8 +117,11 @@ class Predicate:
     gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise PredicateError(f"{self.name}: NaN bound")
+        for bound in (self.lo, self.hi):
+            if isinstance(bound, float) and math.isnan(bound):
+                raise PredicateError(f"{self.name}: NaN bound")
+            if not (finite_real(bound) or isinstance(bound, float) and math.isinf(bound)):
+                raise PredicateError(f"{self.name}: bound must be a finite real number or an infinity, got {bound!r}")
         if self.lo > self.hi:
             raise PredicateError(f"{self.name}: empty set, {self.lo} > {self.hi}")
         if self.lo == NEG_INF and self.hi == POS_INF:
@@ -121,7 +129,7 @@ class Predicate:
         if self.lo == POS_INF or self.hi == NEG_INF:
             # no finite sample reaches the set, and its distances are all -inf
             raise PredicateError(f"{self.name}: bound must be finite on its bounded side")
-        if not (self.gain > 0 and math.isfinite(self.gain)):
+        if not (finite_real(self.gain) and self.gain > 0):
             # an infinite gain times a zero distance is NaN
             raise PredicateError(f"{self.name}: gain must be finite and positive")
 
@@ -137,6 +145,13 @@ def finite_real(x: object) -> bool:
         return (type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)) and math.isfinite(x)
     except OverflowError:  # an int beyond float range
         return False
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory: page size times physical pages.  What
+    would not fit in it, a monitor's table or a case-study scenario, is
+    refused before it is built."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def sample_value(sample: StateSample, variable: str) -> float:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import string
 from array import array
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
+from . import semantics
 from .semantics import Rho, StateSample, Trace, TraceError, finite_real
 
 
@@ -169,12 +169,16 @@ def gen_case_study_trace(
     any other, like a bad geometry, raises ConfigError.
 
     So does a scenario whose samples would not fit in physical memory
-    (page size times physical pages, the rule `Monitor` applies to its
-    table), checked before any sample is built, or whose sample count
-    total / delta_t overflows.  A sample is taken to cost 265 bytes: the
-    tracemalloc peak of this function building 10,001, 100,001 and 200,001
-    samples, divided by their number, read 265.0 to 265.1 (Python 3.11,
-    64-bit Linux)."""
+    (`semantics.physical_memory`, which `Monitor` reads for its table),
+    checked before any sample is built, or whose sample count
+    total / delta_t overflows.  A sample is taken to cost 410 bytes, what
+    `mtlmon case-study` holds for it: 265 in the trace this function
+    builds and the output row kept until the CSV is written.  The
+    tracemalloc peak of `cli.run_case_study` over 100,001 and 200,001
+    samples of the pt variant, divided by their number, read 402.7 and
+    397.5; between 20,001 and 40,001 samples each sample added 385.6 to
+    386.2 bytes in the three variants, on top of a fixed 1.2 to 1.6 MB
+    (Python 3.11, 64-bit Linux)."""
     args = {"excursion_start": excursion_start, "excursion_len": excursion_len, "total": total, "delta_t": delta_t}
     for name, value in args.items():
         if not finite_real(value):
@@ -187,8 +191,8 @@ def gen_case_study_trace(
             f"must lie within [0, {total}]"
         )
     count = total / delta_t
-    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if (count + 1) * 265 > ram:  # an overflowed count is inf, and refused here too
+    ram = semantics.physical_memory()
+    if (count + 1) * 410 > ram:  # an overflowed count is inf, and refused here too
         raise ConfigError(
             f"{total} s at a sampling period of {delta_t} s is {count + 1:.6g} samples, "
             f"more than fit in the {ram} bytes of physical memory"

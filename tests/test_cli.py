@@ -2,7 +2,6 @@ import contextlib
 import io
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
@@ -354,16 +353,30 @@ def test_case_study_refuses_more_samples_than_fit_in_memory(tmp_path, capsys, to
 
 
 def test_case_study_memory_check_reads_physical_memory(monkeypatch):
-    """The check is page size times physical pages, as for the monitor's
-    table: on a machine with 64 KiB the default 601-sample scenario is
+    """The check reads semantics.physical_memory, as the monitor's table
+    does: on a machine with 64 KiB the default 601-sample scenario is
     refused, and with 1 GiB it is built."""
-    small = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
-    monkeypatch.setattr("mtlmon.traceio.os", small)
+    monkeypatch.setattr("mtlmon.semantics.physical_memory", lambda: 1 << 16)
     with pytest.raises(ConfigError, match="is 601 samples, more than fit in the 65536 bytes of physical memory"):
         gen_case_study_trace(2.0, 2.5, 6.0, 0.01)
-    large = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}.__getitem__)
-    monkeypatch.setattr("mtlmon.traceio.os", large)
+    monkeypatch.setattr("mtlmon.semantics.physical_memory", lambda: 1 << 30)
     assert len(gen_case_study_trace(2.0, 2.5, 6.0, 0.01)) == 601
+
+
+def test_case_study_memory_check_counts_the_output_rows(tmp_path, capsys, monkeypatch):
+    """`mtlmon case-study` holds an output row per sample besides the
+    trace, and the check counts both: a machine whose memory fits the
+    default scenario's 601 samples at 265 bytes each (the trace alone) but
+    not its rows as well refuses it in one error line, exit 1."""
+    monkeypatch.setattr("mtlmon.semantics.physical_memory", lambda: 48 * 4096)
+    assert 601 * 265 < 48 * 4096
+    out = tmp_path / "case.csv"
+    assert main(["case-study", "--variant", "pt", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 6.0 s at a sampling period of 0.01 s is 601 samples, "
+        "more than fit in the 196608 bytes of physical memory\n"
+    )
+    assert not out.exists()
 
 
 def test_case_study_pt_with_fail_flag_exits_two(tmp_path):
@@ -443,8 +456,7 @@ def test_monitor_cli_on_arbitrary_files(tmp_path, monkeypatch, formula, predicat
     nothing on stderr and writes no NaN verdict."""
     # a machine with 64 KiB of memory: a fuzzed interval bound of millions
     # of samples is refused before its table is allocated or stepped
-    machine = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
-    monkeypatch.setattr("mtlmon.monitor.os", machine)
+    monkeypatch.setattr("mtlmon.semantics.physical_memory", lambda: 1 << 16)
     paths = []
     for name, content in (("spec.mtl", formula), ("preds.cfg", predicates), ("trace.csv", trace)):
         path = tmp_path / name

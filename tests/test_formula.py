@@ -118,6 +118,55 @@ def test_desugar_rejects_tree_nested_too_deeply():
         desugar(tree)
 
 
+P = SurfaceNode("atom", name="p")
+UNBOUNDED = Interval(0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "op, children, interval, name, message",
+    [
+        ("xor", (P, P), None, None, "unknown operator 'xor'"),
+        ("or", (P,), None, None, "wrong number of operands for 'or': 1"),
+        ("not", (P, P), None, None, "wrong number of operands for 'not': 2"),
+        ("until", (P,), Interval(0, 1), None, "wrong number of operands for 'until': 1"),
+        ("atom", (P,), None, "q", "'atom' takes no operands and no interval"),
+        ("true", (), Interval(0, 1), None, "'true' takes no operands and no interval"),
+        ("next", (P,), Interval(0, 3), None, "'next' takes no interval, got [0,3]"),
+        ("prev", (P,), Interval(0, 3), None, "'prev' takes no interval, got [0,3]"),
+        ("and", (P, P), Interval(0, 1), None, "'and' takes no interval, got [0,1]"),
+        ("until", (P, P), None, None, "'until' takes an interval, got None"),
+        ("once", (P,), None, None, "'once' takes an interval, got None"),
+        ("eventually", (P,), UNBOUNDED, None, "unbounded future interval on 'eventually'"),
+        ("until", (P, P), UNBOUNDED, None, "unbounded future interval on 'until'"),
+        ("always", (P,), UNBOUNDED, None, "unbounded future interval on 'always'"),
+        ("atom", (), None, None, "'atom' takes a str name, got None"),
+        ("atom", (), None, 3, "'atom' takes a str name, got 3"),
+        ("false", (), None, "p", "'false' takes no name, got 'p'"),
+        ("not", (P,), None, "p", "'not' takes no name, got 'p'"),
+    ],
+    ids=[
+        "unknown", "or-1", "not-2", "until-1", "atom-operand", "true-interval", "next-interval",
+        "prev-interval", "and-interval", "until-bare", "once-bare", "eventually-inf", "until-inf",
+        "always-inf", "atom-unnamed", "atom-int-name", "false-named", "not-named",
+    ],
+)
+def test_surface_node_checks_itself_against_the_operator_table(op, children, interval, name, message):
+    """A hand-built tree that no text parses to is refused when built,
+    not dropped in part by desugar or printed as text that does not parse."""
+    with pytest.raises(ValueError) as err:
+        SurfaceNode(op, children, interval, name)
+    assert str(err.value) == message
+
+
+def test_surface_node_accepts_what_parses():
+    assert SurfaceNode("since", (P, P), UNBOUNDED) == parse_formula("p since[0,inf) p")
+    assert SurfaceNode("historically", (P,), UNBOUNDED) == parse_formula("[*][0,inf) p")
+    assert SurfaceNode("next", (P,)) == parse_formula("next p")
+    # dataclasses.replace builds a new node, which is checked too
+    with pytest.raises(ValueError, match="unbounded future interval on 'until'"):
+        replace(parse_formula("p S[0,inf) p"), op="until")
+
+
 def test_parse_rejects_reserved_atom():
     with pytest.raises(ParseError):
         parse_formula("not")

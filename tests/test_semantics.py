@@ -1,9 +1,11 @@
 import math
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+import mtlmon.semantics
 from mtlmon import (
     Monitor,
     Predicate,
@@ -114,6 +116,25 @@ def test_predicate_rejects_infinite_bound_on_bounded_side():
         Predicate("p", "x", hi=-INF)
 
 
+@pytest.mark.parametrize("bound", [True, "1.0", None, 10**400, -(10**400)], ids=["bool", "str", "None", "big", "-big"])
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_predicate_bounds_follow_the_finite_real_rule(side, bound):
+    """A bound is a finite real number (semantics.finite_real) or, on the
+    open side, a float infinity; any other value is a PredicateError, not
+    a TypeError or OverflowError, and a bool is not read as 0 or 1."""
+    other = {"hi": 5.0} if side == "lo" else {"lo": -5.0}
+    with pytest.raises(PredicateError) as err:
+        Predicate("p", "x", **{side: bound}, **other)
+    assert str(err.value) == f"p: bound must be a finite real number or an infinity, got {bound!r}"
+
+
+@pytest.mark.parametrize("gain", [True, "2.0", None, 10**400], ids=["bool", "str", "None", "big"])
+def test_predicate_gain_follows_the_finite_real_rule(gain):
+    with pytest.raises(PredicateError) as err:
+        Predicate("p", "x", lo=0.0, gain=gain)
+    assert str(err.value) == "p: gain must be finite and positive"
+
+
 def test_largest_gain_gives_no_nan():
     f = compile_formula("p or not p")
     mon = Monitor(f, {"p": Predicate("p", "x", lo=0.0, gain=sys.float_info.max)})
@@ -193,3 +214,11 @@ def test_parse_predicates_bad_line():
         parse_predicates("a = x <= 1")
     with pytest.raises(PredicateError, match="cannot parse"):
         parse_predicates("a : x < 1")
+
+
+def test_physical_memory_is_page_size_times_physical_pages(monkeypatch):
+    """The one place that asks the machine: the monitor's table check and
+    the case-study check both read this helper."""
+    machine = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+    monkeypatch.setattr("mtlmon.semantics.os", machine)
+    assert mtlmon.semantics.physical_memory() == 65536
