@@ -84,6 +84,18 @@ def _monitor_rows(mon: Monitor, trace: Trace, mode: PredictorMode, steps: int) -
     return rows
 
 
+def _read_utf8(path: str, what: str) -> str:
+    """The text of the formula or predicates file.  A byte that is not
+    UTF-8 raises ParseError or PredicateError, one message for both that
+    names the byte and the character position where decoding failed."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        chars = len(exc.object[: exc.start].decode("utf-8"))  # a position in characters, not bytes
+        error = ParseError(f"{what} file is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})", chars)
+        raise (error if what == "formula" else PredicateError(str(error))) from None
+
+
 def run_monitor(args: argparse.Namespace) -> int:
     """`mtlmon monitor`: stream the trace through the monitor, write the
     robustness CSV and return the exit code.
@@ -92,26 +104,13 @@ def run_monitor(args: argparse.Namespace) -> int:
     actually in the trace are written; held predictions cover every step.
     """
     trace = load_trace(args.trace)
-    try:
-        text = Path(args.formula).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        chars = len(exc.object[: exc.start].decode("utf-8"))  # ParseError counts characters, not bytes
-        raise ParseError(f"formula file is not UTF-8 text: byte {byte:#04x} ({exc.reason})", chars) from None
-    tree = parse_formula(text)
+    tree = parse_formula(_read_utf8(args.formula, "formula"))
     if args.time_units == "seconds":
         if trace.delta_t is None:
             raise ConfigError("seconds mode needs at least two samples to infer the sampling period")
         tree = intervals_to_samples(tree, trace.delta_t)
     formula = desugar(tree)
-    try:
-        text = Path(args.predicates).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise PredicateError(
-            f"predicates file is not UTF-8 text: byte {byte:#04x} ({exc.reason} at offset {exc.start})"
-        ) from None
-    predicates = parse_predicates(text)
+    predicates = parse_predicates(_read_utf8(args.predicates, "predicates"))
     mon = Monitor(formula, predicates)
     for name in sorted(formula.atom_names):
         var = predicates[name].variable

@@ -142,9 +142,10 @@ class SurfaceNode:
     """Node of the parsed syntax tree, before compilation to the core.
 
     op is "atom", "true", "false" or an operator's name.  Only an atom has
-    a name, a str.  An operator takes two children at binding levels 0 to
-    3 and one at level 4, and an interval exactly when it is windowed,
-    bounded for a future one.  A node that breaks this raises ValueError.
+    a name, a str.  An operator takes two SurfaceNode children at binding
+    levels 0 to 3 and one at level 4, and an Interval exactly when it is
+    windowed, bounded for a future one.  A node that breaks this raises
+    ValueError.
     """
 
     op: str
@@ -166,8 +167,12 @@ class SurfaceNode:
                 raise ValueError(f"{self.op!r} takes no operands and no interval")
         elif len(self.children) != (1 if _OPS[self.op].level == 4 else 2):
             raise ValueError(f"wrong number of operands for {self.op!r}: {len(self.children)}")
+        elif type(self.children[0]) is not SurfaceNode or type(self.children[-1]) is not SurfaceNode:
+            raise ValueError(f"operands of {self.op!r} must be SurfaceNodes, got {self.children!r}")
         elif (self.op in _WINDOWED) != (self.interval is not None):
             raise ValueError(f"{self.op!r} takes {'an' if self.op in _WINDOWED else 'no'} interval, got {self.interval}")
+        elif self.interval is not None and type(self.interval) is not Interval:
+            raise ValueError(f"interval of {self.op!r} must be an Interval, got {self.interval!r}")
         elif _OPS[self.op].kind == UNTIL and self.interval is not None and self.interval.upper == math.inf:
             raise ValueError(f"unbounded future interval on {self.op!r}")
 

@@ -102,6 +102,8 @@ from .semantics import (
     PredicateError,
     Rho,
     StateSample,
+    checked_index,
+    node_index,
     sample_value,
 )
 
@@ -204,19 +206,20 @@ class Monitor:
     def cell(self, k: int, j: int) -> Rho | None:
         """Stored value of subformula k at column j, or None before the
         first step, where the column precedes the stream or history the
-        row does not maintain.  Raises IndexError for a k outside the
-        formula's nodes or a j outside the window."""
-        row = self._row(k)
-        if not -self.history <= j <= self.horizon:
-            raise IndexError(f"column {j} outside [-{self.history}, {self.horizon}]")
-        if j < row.start or self.i == 0 or self.i - 1 + j < 0:
+        row does not maintain.  k and j follow semantics.checked_index:
+        an index outside the formula's nodes or the window raises
+        IndexError, and one that is not an integer TypeError.
+
+        Column -horizon of the root is the settled verdict: after the
+        step for step i, cell(0, -horizon) is the exact robustness at step
+        i - horizon, the value the oracle gives on the actual trace, for
+        any predictions fed.  That cell read only actual samples (see the
+        module docstring), so it is None only while i < horizon."""
+        k = node_index(k, len(self._rows))
+        j = checked_index(j, "column", -self.history, self.horizon)
+        if j < self._rows[k].start or self.i == 0 or self.i - 1 + j < 0:
             return None
         return float(self.table[k, j + self.history + 1])
-
-    def _row(self, k: int) -> _Row:
-        if not 0 <= k < len(self._rows):
-            raise IndexError(f"subformula {k} outside the formula's {len(self._rows)} nodes")
-        return self._rows[k]
 
     # ------------------------------------------------------------------
     # Row updates
@@ -230,7 +233,7 @@ class Monitor:
         off = self.history + 1
         if not row.vector:
             for j in range(jlo, self.horizon + 1):
-                T[k, j + off] = self.cr(k, j)
+                T[k, j + off] = self._cr(k, j)
             return
         a, e = jlo + off, self.horizon + off + 1  # the pad right of the horizon is never written
         if row.kind == ATOM:
@@ -265,18 +268,21 @@ class Monitor:
 
         One cell of the table update: the update fills every row that is
         not on numpy through it, and it is exposed so single cells can be
-        inspected and tested.  Raises IndexError for a k outside the
-        formula's nodes, and unless row.start <= j <= horizon, the columns
-        the row maintains.  Only meaningful where the update has run
-        (operand rows filled, absolute time i+j nonnegative); reads before
-        the stream start or past the horizon see the table's -inf.  An until or since cell is _max_min_window's
-        formula for one cell, over the same slices; an unbounded since
-        maxes its [lo, lo] disjunct with its running value, the minimum of
-        its own cell one column to the left and the left operand here.
+        inspected and tested.  k and j follow semantics.checked_index, and
+        j must be a column the update has filled: row.start <= j <=
+        horizon, at absolute time i+j nonnegative, none before the first
+        step.  Reads past the horizon see the table's -inf.  An until or
+        since cell is _max_min_window's formula for one cell, over the same
+        slices; an unbounded since maxes its [lo, lo] disjunct with its
+        running value, the minimum of its own cell one column to the left
+        and the left operand here.
         """
-        row = self._row(k)
-        if not row.start <= j <= self.horizon:
-            raise IndexError(f"column {j} outside [{row.start}, {self.horizon}], the columns of row {k}")
+        k = node_index(k, len(self._rows))
+        lo = max(self._rows[k].start, 1 - self.i)  # 1 before the first step: no column is filled
+        return self._cr(k, checked_index(j, "column", lo, self.horizon if self.i else 0))
+
+    def _cr(self, k: int, j: int) -> Rho:
+        row = self._rows[k]
         T = self.table
         a = j + self.history + 1
         if row.kind == TRUE:

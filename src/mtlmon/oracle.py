@@ -39,6 +39,8 @@ from .semantics import (
     Rho,
     StateSample,
     Trace,
+    checked_index,
+    node_index,
     signed_distance,
 )
 
@@ -98,11 +100,11 @@ def _eval(
 ) -> Callable[[int], Any]:
     """Subformula `node`'s value in the lattice as a function of the step.
     The calls of one such function share one memo per (subformula, step).
-    A node outside the formula, or a step outside the trace, raises
-    IndexError."""
+    The node and each step follow semantics.checked_index: one outside the
+    formula or the trace raises IndexError, one that is not an integer
+    TypeError."""
     nodes, samples = formula.nodes, trace.samples
-    if not 0 <= node < len(nodes):
-        raise IndexError(f"subformula {node} outside the formula's {len(nodes)} nodes")
+    node = node_index(node, len(nodes))
     atom, bottom, top, join, meet, neg = lattice
     memo: dict[tuple[int, int], Any] = {}
 
@@ -138,8 +140,6 @@ def _eval(
         return v
 
     def at(i: int) -> Any:
-        if not 0 <= i < len(samples):
-            raise IndexError(f"step {i} outside trace of length {len(samples)}")
-        return value(node, i)
+        return value(node, checked_index(i, "step", 0, len(samples) - 1))
 
     return at

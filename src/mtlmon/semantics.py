@@ -11,6 +11,11 @@ times and its period by it, `Predicate` its bounds and gain, and
 uniformly sampled raises `TraceError`, whether it is built by hand or
 loaded by `load_trace`.
 
+Indices have one rule as well, `checked_index`: the step, subformula and
+column arguments of `Monitor.cell` and `Monitor.cr`, of the oracle and of
+`predict` must be integers in range.  A bool, a float or a string raises
+TypeError and an integer out of range IndexError, each naming the argument.
+
 Max and min over empty windows follow the lattice conventions: the max
 of nothing is -inf and the min of nothing is +inf, which is what makes
 windows that reach before the stream start or past the data come out
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -118,8 +124,6 @@ class Predicate:
 
     def __post_init__(self) -> None:
         for bound in (self.lo, self.hi):
-            if isinstance(bound, float) and math.isnan(bound):
-                raise PredicateError(f"{self.name}: NaN bound")
             if not (finite_real(bound) or isinstance(bound, float) and math.isinf(bound)):
                 raise PredicateError(f"{self.name}: bound must be a finite real number or an infinity, got {bound!r}")
         if self.lo > self.hi:
@@ -145,6 +149,23 @@ def finite_real(x: object) -> bool:
         return (type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)) and math.isfinite(x)
     except OverflowError:  # an int beyond float range
         return False
+
+
+def checked_index(x: object, name: str, lo: int, hi: float, where: str = "") -> int:
+    """x as an int, when it is an integer in [lo, hi]: the index rule, as
+    `finite_real` is the value rule.  A bool or any object that is not an
+    integer raises TypeError; an integer outside the range IndexError.  Each
+    message names the argument and its range, `where` when given."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    if not lo <= (k := operator.index(x)) <= hi:  # a numpy integer becomes an int
+        raise IndexError(f"{name} {k} outside {where or f'[{lo}, {hi}]'}")
+    return k
+
+
+def node_index(k: object, count: int) -> int:
+    """k as the index of a subformula of a formula of count nodes."""
+    return checked_index(k, "subformula", 0, count - 1, f"the formula's {count} nodes")
 
 
 def physical_memory() -> int:

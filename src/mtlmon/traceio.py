@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 from . import semantics
-from .semantics import Rho, StateSample, Trace, TraceError, finite_real
+from .semantics import Rho, StateSample, Trace, TraceError, checked_index, finite_real
 
 
 class TraceExhausted(TraceError):
@@ -145,9 +145,13 @@ def check_predictor(mode: PredictorMode, horizon: int) -> None:
         )
 
 
-def predict(mode: PredictorMode, trace: Trace, i: int, horizon: int) -> list[StateSample]:
-    """Future samples for step i: held, looked up, or none at all."""
-    check_predictor(mode, horizon)
+def predict(mode: PredictorMode | str, trace: Trace, i: int, horizon: int) -> list[StateSample]:
+    """Future samples for step i: held, looked up, or none at all.  mode is
+    a PredictorMode or its value (ValueError for any other), and i and
+    horizon follow semantics.checked_index: 0 <= i < len(trace), horizon >= 0."""
+    mode = PredictorMode(mode)
+    i = checked_index(i, "step", 0, len(trace) - 1)
+    check_predictor(mode, checked_index(horizon, "horizon", 0, math.inf))
     if mode is PredictorMode.NONE:
         return []
     if mode is PredictorMode.HOLD:

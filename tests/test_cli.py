@@ -141,6 +141,15 @@ def test_monitor_rejects_bad_files_in_one_line(tmp_path, capsys, which, content,
         assert err.endswith("(at position 5)\n")
 
 
+@pytest.mark.parametrize("which", ["formula", "predicates"])
+def test_monitor_reports_both_text_files_bad_byte_at_its_character(tmp_path, capsys, which):
+    # the comment holds a two-byte character, so the byte offset would be 5
+    files = dict(zip(("formula", "predicates", "trace"), setup_run(tmp_path, "p", "p : x >= 0\n", "time,x\n0.0,1\n")))
+    files[which].write_bytes("# é\n".encode() + b"\xff")
+    assert main(monitor_args(files["formula"], files["predicates"], files["trace"], tmp_path / "out.csv", "hold")) == 4
+    assert capsys.readouterr().err == f"error: {which} file is not UTF-8 text: byte 0xff (invalid start byte) (at position 4)\n"
+
+
 def test_monitor_seconds_units_converts_every_formula_that_parses(tmp_path):
     # the conversion to samples recurses as deep as the tree, no deeper than parsing did
     trace = "time,x\n" + "".join(f"{k * 0.5!r},{v}\n" for k, v in enumerate([-1.0, -2.0, 3.0, -4.0, -5.0]))

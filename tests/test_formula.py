@@ -143,11 +143,17 @@ UNBOUNDED = Interval(0, math.inf)
         ("atom", (), None, 3, "'atom' takes a str name, got 3"),
         ("false", (), None, "p", "'false' takes no name, got 'p'"),
         ("not", (P,), None, "p", "'not' takes no name, got 'p'"),
+        ("not", ("p",), None, None, "operands of 'not' must be SurfaceNodes, got ('p',)"),
+        ("or", (P, "q"), None, None, "operands of 'or' must be SurfaceNodes, got (" + repr(P) + ", 'q')"),
+        ("until", (None, P), Interval(0, 1), None, "operands of 'until' must be SurfaceNodes, got (None, " + repr(P) + ")"),
+        ("once", (P,), (0, 3), None, "interval of 'once' must be an Interval, got (0, 3)"),
+        ("eventually", (P,), (0, 3), None, "interval of 'eventually' must be an Interval, got (0, 3)"),
     ],
     ids=[
         "unknown", "or-1", "not-2", "until-1", "atom-operand", "true-interval", "next-interval",
         "prev-interval", "and-interval", "until-bare", "once-bare", "eventually-inf", "until-inf",
         "always-inf", "atom-unnamed", "atom-int-name", "false-named", "not-named",
+        "not-str-operand", "or-str-operand", "until-none-operand", "once-tuple-interval", "eventually-tuple-interval",
     ],
 )
 def test_surface_node_checks_itself_against_the_operator_table(op, children, interval, name, message):

@@ -27,6 +27,7 @@ from helpers import (
     contains_unbounded_since,
     perfect_series,
     random_core_text,
+    random_past_text,
     random_predicates,
     random_trace,
 )
@@ -551,6 +552,35 @@ def test_cells_left_of_row_horizon_are_shifted_unchanged():
                     assert mon.table[k, j + h + 1] == prev[k, j + h + 2] == mon.cr(k, j)
                     checked += 1
     assert checked > 10000
+
+
+@pytest.mark.parametrize("mode", ["hold", "none", "perfect"])
+def test_root_column_minus_horizon_is_the_settled_verdict(mode):
+    """After the step for step i, cell(0, -horizon) is the oracle's verdict
+    for step i - horizon on the actual trace, whatever predictions were fed:
+    held copies, none (past-only formulas) or the actual future, warm-up
+    steps included.  Before step horizon it is None."""
+    rng = random.Random({"hold": 71, "none": 72, "perfect": 73}[mode])
+    settled = 0
+    for _ in range(80):
+        text = random_past_text(rng, max_depth=3) if mode == "none" else random_core_text(rng, 3, 5)
+        f = compile_formula(text)
+        if f.horizon > 12:
+            continue
+        preds = random_predicates(rng, f.atom_names)
+        trace = random_trace(rng, [p.variable for p in preds.values()], rng.randint(f.horizon + 1, f.history + 25))
+        expected = offline_robustness_series(f, preds, trace)
+        mon = Monitor(f, preds)
+        h = f.horizon
+        for i, sample in enumerate(trace.samples[: len(trace) - h if mode == "perfect" else None]):
+            ahead = list(trace.samples[i + 1 : i + 1 + h]) if mode == "perfect" else [sample] * h
+            mon.step(sample, ahead)
+            if i < h:
+                assert mon.cell(0, -h) is None
+            else:
+                assert mon.cell(0, -h) == expected[i - h], (text, i)
+                settled += 1
+    assert settled > 1000
 
 
 VALUES = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)

@@ -3,6 +3,7 @@ import random
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import mtlmon.semantics
@@ -10,9 +11,14 @@ from mtlmon import (
     Monitor,
     Predicate,
     PredicateError,
+    PredictorMode,
     StateSample,
+    boolean_eval,
     compile_formula,
+    offline_robustness,
+    offline_robustness_series,
     parse_predicates,
+    predict,
     signed_distance,
 )
 
@@ -128,6 +134,12 @@ def test_predicate_bounds_follow_the_finite_real_rule(side, bound):
     assert str(err.value) == f"p: bound must be a finite real number or an infinity, got {bound!r}"
 
 
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_predicate_rejects_nan_bound(side):
+    with pytest.raises(PredicateError, match="bound must be a finite real number or an infinity, got nan"):
+        Predicate("p", "x", **{side: math.nan})
+
+
 @pytest.mark.parametrize("gain", [True, "2.0", None, 10**400], ids=["bool", "str", "None", "big"])
 def test_predicate_gain_follows_the_finite_real_rule(gain):
     with pytest.raises(PredicateError) as err:
@@ -222,3 +234,75 @@ def test_physical_memory_is_page_size_times_physical_pages(monkeypatch):
     machine = SimpleNamespace(sysconf={"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
     monkeypatch.setattr("mtlmon.semantics.os", machine)
     assert mtlmon.semantics.physical_memory() == 65536
+
+
+def index_arguments():
+    """Every index argument of a public entry: the call that takes it, the
+    name its messages give it and its range [lo, hi] (hi None: unbounded),
+    on one formula, trace and monitor three steps in."""
+    f = compile_formula("p since[0,2] eventually[0,1] q")
+    preds = {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)}
+    trace = column_trace(x=[1.0, -2.0, 3.0, 4.0], y=[-1.0, 2.0, -3.0, 0.5])
+    mon = Monitor(f, preds)
+    for i in range(3):
+        mon.step(trace.samples[i], [trace.samples[i]] * f.horizon)
+    last, nodes = len(trace) - 1, len(f.nodes) - 1
+    cr_lo = max(mon._rows[0].start, 1 - mon.i)
+    return {
+        "cell-k": (lambda x: mon.cell(x, 0), "subformula", 0, nodes),
+        "cell-j": (lambda x: mon.cell(0, x), "column", -mon.history, mon.horizon),
+        "cr-k": (lambda x: mon.cr(x, 0), "subformula", 0, nodes),
+        "cr-j": (lambda x: mon.cr(0, x), "column", cr_lo, mon.horizon),
+        "offline_robustness-i": (lambda x: offline_robustness(f, preds, trace, x), "step", 0, last),
+        "offline_robustness-node": (lambda x: offline_robustness(f, preds, trace, 1, x), "subformula", 0, nodes),
+        "offline_robustness_series-node": (lambda x: offline_robustness_series(f, preds, trace, x), "subformula", 0, nodes),
+        "boolean_eval-i": (lambda x: boolean_eval(f, preds, trace, x), "step", 0, last),
+        "boolean_eval-node": (lambda x: boolean_eval(f, preds, trace, 1, x), "subformula", 0, nodes),
+        "predict-i": (lambda x: predict(PredictorMode.HOLD, trace, x, 1), "step", 0, last),
+        "predict-horizon": (lambda x: predict(PredictorMode.HOLD, trace, 0, x), "horizon", 0, None),
+    }
+
+
+INDEX_ARGUMENTS = index_arguments()  # no call changes the monitor
+
+
+@pytest.mark.parametrize("call, name, lo, hi", INDEX_ARGUMENTS.values(), ids=INDEX_ARGUMENTS)
+def test_every_index_argument_follows_the_index_rule(call, name, lo, hi):
+    """A bool or a non-integer raises TypeError, an integer one below or
+    above the range IndexError (-1 below a range from 0), each naming the
+    argument; a numpy integer in range gives the plain int's result."""
+    cases = [(True, TypeError), (0.5, TypeError), (-0.0, TypeError), ("0", TypeError), (None, TypeError)]
+    cases += [(lo - 1, IndexError)] + ([(hi + 1, IndexError)] if hi is not None else [])
+    for value, error in cases:
+        with pytest.raises(error) as err:
+            call(value)
+        assert type(err.value) is error and str(err.value).startswith(f"{name} "), (value, str(err.value))
+    for k in {lo, hi if hi is not None else lo + 1}:
+        assert call(np.int64(k)) == call(k)
+        assert type(call(np.int64(k))) is type(call(k))
+
+
+def test_index_rule_mends_the_silent_and_leaking_cases():
+    trace = column_trace(x=[1.0, 2.0, 3.0, 4.0, 5.0])
+    # a step before the trace used to read sample 0 as its future
+    with pytest.raises(IndexError, match=r"step -1 outside \[0, 4\]"):
+        predict(PredictorMode.PERFECT, trace, -1, 1)
+    with pytest.raises(IndexError, match=r"horizon -1 outside \[0, inf\]"):
+        predict(PredictorMode.HOLD, trace, 0, -1)
+    with pytest.raises(IndexError, match=r"step 5 outside \[0, 4\]"):
+        predict(PredictorMode.HOLD, trace, 5, 1)
+    f = compile_formula("p until[0,1] q")
+    mon = Monitor(f, {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)})
+    atom = next(k for k, n in enumerate(f.nodes) if n.kind == "atom")
+    # no column is filled before the first step; an atom row used to raise KeyError
+    with pytest.raises(IndexError, match=r"column 0 outside \[1, 0\]"):
+        mon.cr(atom, 0)
+    with pytest.raises(IndexError, match=r"subformula 3 outside the formula's 3 nodes"):
+        mon.cell(3, 0)
+
+
+def test_checked_index_returns_a_plain_int():
+    assert mtlmon.semantics.checked_index(np.int32(3), "k", 0, 3) == 3
+    assert type(mtlmon.semantics.checked_index(np.int64(0), "k", 0, 0)) is int
+    with pytest.raises(TypeError, match="k must be an integer, got np.True_|k must be an integer, got True"):
+        mtlmon.semantics.checked_index(np.bool_(True), "k", 0, 3)

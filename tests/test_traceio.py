@@ -101,6 +101,18 @@ def test_package_modules_form_three_layers():
     assert {name for name, imports in graph.items() if "oracle" in imports} == {"__init__"}
 
 
+def test_every_source_file_parses_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10, so the package, the
+    tests and the benchmark use no syntax of a later Python."""
+    repo = Path(__file__).resolve().parent.parent
+    paths = [path for part in ("src", "tests", "perfbench") for path in sorted((repo / part).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
 def test_trace_and_trace_error_are_defined_once():
     assert Trace.__module__ == TraceError.__module__ == "mtlmon.semantics"
     assert mtlmon.semantics.Trace is mtlmon.oracle.Trace is Trace
@@ -277,6 +289,23 @@ def test_predict_perfect_exhausts_near_trace_end():
     trace = fixed_trace([1.0, 2.0, 3.0])
     with pytest.raises(TraceExhausted, match="trace exhausted"):
         predict(PredictorMode.PERFECT, trace, 1, 2)
+
+
+@pytest.mark.parametrize("mode", list(PredictorMode), ids=[m.value for m in PredictorMode])
+def test_predict_takes_a_mode_or_its_value(mode):
+    trace = fixed_trace([1.0, 2.0, 3.0])
+    horizon = 0 if mode is PredictorMode.NONE else 1
+    assert predict(mode.value, trace, 0, horizon) == predict(mode, trace, 0, horizon)
+
+
+def test_predict_refuses_a_value_that_names_no_mode():
+    # "hold" and "none" used to fall through to the perfect lookahead
+    trace = fixed_trace([1.0, 2.0, 3.0])
+    assert [s.values["x"] for s in predict("hold", trace, 0, 1)] == [1.0]
+    with pytest.raises(ConfigError, match="'none'"):
+        predict("none", trace, 0, 1)
+    with pytest.raises(ValueError, match="'held' is not a valid PredictorMode"):
+        predict("held", trace, 0, 1)
 
 
 def test_case_study_trace_geometry():
