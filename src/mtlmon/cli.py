@@ -39,6 +39,7 @@ from .traceio import (
     gen_case_study_trace,
     load_trace,
     predict,
+    seconds_to_samples,
     write_robustness_csv,
 )
 
@@ -49,25 +50,14 @@ _WARMUP_STEPS = 10
 # ---------------------------------------------------------------------------
 # monitor
 
-def seconds_to_samples(bound: float, delta_t: float) -> int:
-    """Convert a bound in seconds to samples, refusing to round."""
-    k = bound / delta_t
-    if not math.isfinite(k):
-        raise ConfigError(f"interval bound {bound} s overflows a count of sampling periods of {delta_t} s")
-    r = round(k)
-    if abs(k - r) > 1e-9 * max(1.0, abs(k)):
-        raise ConfigError(f"interval bound {bound} s is not a multiple of the sampling period {delta_t} s")
-    return int(r)
-
-
 def intervals_to_samples(tree: SurfaceNode, delta_t: float) -> SurfaceNode:
-    """Rewrite every interval of a surface tree from seconds to samples."""
+    """Rewrite every interval of a surface tree from seconds to samples by
+    `traceio.seconds_to_samples`: a bound that is not a multiple of delta_t
+    raises ConfigError."""
     interval = tree.interval
     if interval is not None:
-        upper = interval.upper
-        if upper != math.inf:
-            upper = seconds_to_samples(upper, delta_t)
-        interval = Interval(seconds_to_samples(interval.lower, delta_t), upper)
+        bounds = (interval.lower, interval.upper)
+        interval = Interval(*(b if b == math.inf else seconds_to_samples(b, delta_t) for b in bounds))
     # map, not a generator: one frame per level, as in parse_formula, so
     # a tree that parsed is never too deep to convert
     children = tuple(map(intervals_to_samples, tree.children, repeat(delta_t)))
@@ -116,8 +106,7 @@ def run_monitor(args: argparse.Namespace) -> int:
         var = predicates[name].variable
         if var not in trace.variables:
             raise TraceError(f"trace has no column {var!r} (read by predicate {name!r})")
-    mode = PredictorMode(args.predictor)
-    check_predictor(mode, formula.horizon)  # also when the trace has no rows to predict for
+    mode = check_predictor(args.predictor, formula.horizon)  # also when the trace has no rows to predict for
     steps = len(trace) - (formula.horizon if mode is PredictorMode.PERFECT else 0)
     rows = _monitor_rows(mon, trace, mode, steps)
     write_robustness_csv(args.out, rows)
@@ -273,14 +262,21 @@ def run_case_study(
 ) -> list[tuple[int, float, float]]:
     """Monitor one scenario variant over the synthetic signal.
 
-    The past-only variant runs without a predictor; the future-looking
-    variants run under held predictions, since the scenario has no source
-    of real forecasts.
+    Every quantity in seconds becomes a count of sampling periods by
+    `traceio.seconds_to_samples`, the rule `--time-units seconds` uses: the
+    formula's 1 s and 2 s windows, then the scenario's total, excursion
+    start and length (`gen_case_study_trace`).  One that is not a multiple
+    of delta_t raises ConfigError rather than being rounded; the formula
+    comes first, so a delta_t that does not divide 1 s is refused before
+    any sample is built.
+
+    Every variant runs under held predictions, since the scenario has no
+    source of real forecasts; the past-only variant's horizon is 0, so it
+    is handed none.
     """
-    trace = gen_case_study_trace(excursion_start, excursion_len, total, delta_t)
     formula = compile_formula(case_study_formula(variant, delta_t))
-    mode = PredictorMode.NONE if formula.horizon == 0 else PredictorMode.HOLD
-    return _monitor_rows(Monitor(formula, case_study_predicates()), trace, mode, len(trace.samples))
+    trace = gen_case_study_trace(excursion_start, excursion_len, total, delta_t)
+    return _monitor_rows(Monitor(formula, case_study_predicates()), trace, PredictorMode.HOLD, len(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -141,15 +141,22 @@ class Monitor:
     and the -inf pad right of it, pad being the largest until upper bound
     (0 without until); it never grows with the stream.  Column j of row k
     is table[k, j + history + 1].  A table larger than physical memory is
-    refused with MemoryError before anything is allocated.
+    refused with MemoryError before anything is allocated.  A formula that
+    is not a compiled Formula raises TypeError, and an atom that is unbound
+    or bound to anything but a Predicate PredicateError.
     step() is single-writer: do not call it concurrently on the same
     instance.  Independent monitors are fully isolated.
     """
 
     def __init__(self, formula: Formula, predicates: Mapping[str, Predicate]):
+        if not isinstance(formula, Formula):
+            raise TypeError(f"formula must be a compiled Formula, got {formula!r}")
         missing = sorted(formula.atom_names - set(predicates))
         if missing:
             raise PredicateError("unbound atoms: " + ", ".join(missing))
+        for name in sorted(formula.atom_names):
+            if not isinstance(predicates[name], Predicate):
+                raise PredicateError(f"atom {name!r} is bound to {predicates[name]!r}, not a Predicate")
         self.formula = formula
         self.horizon = formula.horizon
         self.history = formula.history

@@ -111,9 +111,10 @@ class Predicate:
     giving the half-line forms ``variable <= hi`` and ``variable >= lo``;
     the other must be finite.  `gain`, finite and positive, scales the
     distance, so predicates can be weighted without rewriting traces.
-    Each bound is a finite real number or a float infinity, and the gain a
-    finite real number (`finite_real`: not a bool, not an int beyond float
-    range); any other value raises PredicateError.
+    name and variable are strings, each bound is a finite real number or a
+    float infinity, and the gain a finite real number (`finite_real`: not a
+    bool, not an int beyond float range); any other value raises
+    PredicateError.
     """
 
     name: str
@@ -123,6 +124,9 @@ class Predicate:
     gain: float = 1.0
 
     def __post_init__(self) -> None:
+        for field, text in (("name", self.name), ("variable", self.variable)):
+            if not isinstance(text, str):
+                raise PredicateError(f"predicate {field} must be a string, got {text!r}")
         for bound in (self.lo, self.hi):
             if not (finite_real(bound) or isinstance(bound, float) and math.isinf(bound)):
                 raise PredicateError(f"{self.name}: bound must be a finite real number or an infinity, got {bound!r}")

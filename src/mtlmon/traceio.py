@@ -1,4 +1,5 @@
-"""Reading and writing trace files, predictors, and the case-study scenario.
+"""Reading and writing trace files, predictors, the case-study scenario,
+and `seconds_to_samples`, the one rule from seconds to sample counts.
 
 `Trace` and `TraceError` live in `mtlmon.semantics`; this module builds
 traces from CSV files and from the scenario, and refuses a bad file with
@@ -136,22 +137,24 @@ def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError:
     raise AssertionError("row has no bad cell")
 
 
-def check_predictor(mode: PredictorMode, horizon: int) -> None:
-    """Refuse a predictor that cannot serve a formula of this horizon: 'none'
+def check_predictor(mode: PredictorMode | str, horizon: int) -> PredictorMode:
+    """mode as a PredictorMode, when it can serve a formula of this horizon.
+    mode is a PredictorMode or its value (ValueError for any other); 'none'
     gives no future samples, so it serves only zero-horizon formulas."""
+    mode = PredictorMode(mode)
     if mode is PredictorMode.NONE and horizon > 0:
         raise ConfigError(
             f"predictor 'none' requires a zero-horizon formula, but the formula needs {horizon} future samples"
         )
+    return mode
 
 
 def predict(mode: PredictorMode | str, trace: Trace, i: int, horizon: int) -> list[StateSample]:
     """Future samples for step i: held, looked up, or none at all.  mode is
-    a PredictorMode or its value (ValueError for any other), and i and
+    a PredictorMode or its value, as for check_predictor, and i and
     horizon follow semantics.checked_index: 0 <= i < len(trace), horizon >= 0."""
-    mode = PredictorMode(mode)
     i = checked_index(i, "step", 0, len(trace) - 1)
-    check_predictor(mode, checked_index(horizon, "horizon", 0, math.inf))
+    mode = check_predictor(mode, checked_index(horizon, "horizon", 0, math.inf))
     if mode is PredictorMode.NONE:
         return []
     if mode is PredictorMode.HOLD:
@@ -159,6 +162,26 @@ def predict(mode: PredictorMode | str, trace: Trace, i: int, horizon: int) -> li
     if i + horizon >= len(trace.samples):
         raise TraceExhausted(f"trace exhausted: step {i} needs {horizon} future samples")
     return list(trace.samples[i + 1 : i + 1 + horizon])
+
+
+def seconds_to_samples(seconds: float, delta_t: float, quantity: str = "interval bound") -> int:
+    """The count of sampling periods of delta_t in `seconds`: the one rule
+    from seconds to samples, for `--time-units seconds` interval bounds and
+    for every quantity of the case study.  seconds / delta_t must lie on the
+    sample grid, within 1e-9 * max(1, count) of an integer; a count off the
+    grid, or one that overflows, raises ConfigError naming the quantity:
+    seconds are refused, never rounded.  So does a sampling period that is
+    not a positive finite real."""
+    if not finite_real(delta_t):
+        raise ConfigError(f"delta_t must be a finite real number, got {delta_t!r}")
+    if delta_t <= 0:
+        raise ConfigError(f"sampling period must be positive, got {delta_t}")
+    k = seconds / delta_t
+    if not math.isfinite(k):
+        raise ConfigError(f"{quantity} {seconds} s overflows a count of sampling periods of {delta_t} s")
+    if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
+        raise ConfigError(f"{quantity} {seconds} s is not a multiple of the sampling period {delta_t} s")
+    return round(k)
 
 
 def gen_case_study_trace(
@@ -169,42 +192,48 @@ def gen_case_study_trace(
 ) -> Trace:
     """Synthetic normalized-ratio signal: baseline 1.0 with one rectangular
     excursion to 1.2 (outside the +/-10% band) over the given window.
-    Each argument must be a finite real number (semantics.finite_real);
-    any other, like a bad geometry, raises ConfigError.
+    Each argument must be a finite real number (semantics.finite_real),
+    delta_t a positive one (checked by `seconds_to_samples`); any other,
+    like a bad geometry, raises ConfigError.
+
+    The trace lies on the sample grid: sample k is taken at k * delta_t,
+    for k from 0 to the count of periods in `total`, and lies in the
+    excursion when start <= k < start + length, each a count of periods
+    as well.  `seconds_to_samples` makes all three counts, so a total,
+    excursion start or length that is not a multiple of delta_t raises
+    ConfigError, as an interval bound under `--time-units seconds` does,
+    rather than being rounded.
 
     So does a scenario whose samples would not fit in physical memory
     (`semantics.physical_memory`, which `Monitor` reads for its table),
-    checked before any sample is built, or whose sample count
-    total / delta_t overflows.  A sample is taken to cost 410 bytes, what
-    `mtlmon case-study` holds for it: 265 in the trace this function
-    builds and the output row kept until the CSV is written.  The
+    checked before any sample is built.  A sample is taken to cost 410
+    bytes, what `mtlmon case-study` holds for it: 265 in the trace this
+    function builds and the output row kept until the CSV is written.  The
     tracemalloc peak of `cli.run_case_study` over 100,001 and 200,001
     samples of the pt variant, divided by their number, read 402.7 and
     397.5; between 20,001 and 40,001 samples each sample added 385.6 to
     386.2 bytes in the three variants, on top of a fixed 1.2 to 1.6 MB
     (Python 3.11, 64-bit Linux)."""
-    args = {"excursion_start": excursion_start, "excursion_len": excursion_len, "total": total, "delta_t": delta_t}
+    args = {"excursion_start": excursion_start, "excursion_len": excursion_len, "total": total}
     for name, value in args.items():
         if not finite_real(value):
             raise ConfigError(f"{name} must be a finite real number, got {value!r}")
-    if delta_t <= 0:
-        raise ConfigError(f"sampling period must be positive, got {delta_t}")
+    count = seconds_to_samples(total, delta_t, "total")  # checks delta_t first
     if total <= 0 or excursion_start < 0 or excursion_len < 0 or excursion_start + excursion_len > total:
         raise ConfigError(
             f"invalid scenario geometry: excursion [{excursion_start}, {excursion_start + excursion_len}] "
             f"must lie within [0, {total}]"
         )
-    count = total / delta_t
     ram = semantics.physical_memory()
-    if (count + 1) * 410 > ram:  # an overflowed count is inf, and refused here too
+    if (count + 1) * 410 > ram:
         raise ConfigError(
             f"{total} s at a sampling period of {delta_t} s is {count + 1:.6g} samples, "
             f"more than fit in the {ram} bytes of physical memory"
         )
-    eps = 1e-6 * delta_t
-    lo, up = excursion_start - eps, excursion_start + excursion_len - eps
-    times = (k * delta_t for k in range(int(round(count)) + 1))
-    return Trace(tuple(StateSample({"lambda": 1.2 if lo <= t < up else 1.0}, t) for t in times), delta_t)
+    start = seconds_to_samples(excursion_start, delta_t, "excursion start")
+    stop = start + seconds_to_samples(excursion_len, delta_t, "excursion length")
+    samples = (StateSample({"lambda": 1.2 if start <= k < stop else 1.0}, k * delta_t) for k in range(count + 1))
+    return Trace(tuple(samples), delta_t)
 
 
 def write_robustness_csv(path: str, rows: Iterable[tuple[int, float, Rho]]) -> None:

@@ -1,13 +1,16 @@
+import argparse
 import contextlib
 import io
 import math
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from mtlmon import ConfigError, compile_formula, offline_robustness_series
+from mtlmon import ConfigError, cli, compile_formula, offline_robustness_series, traceio
 from mtlmon.cli import (
     case_study_formula,
     gen_template,
@@ -287,6 +290,31 @@ def test_bench_cli_requires_horizon_without_sweep():
     assert main(["bench", "--template", "E", "--n", "1"]) == 1
 
 
+def readme_commands():
+    """Each `mtlmon` command in README's "Command line" block, its `\\`
+    continuations joined and its comments skipped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_command_line_examples_parse():
+    """A renamed flag or subcommand fails here, not in a reader's shell."""
+    commands = readme_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["mtlmon", "monitor"], ["mtlmon", "bench"], ["mtlmon", "bench"], ["mtlmon", "case-study"],
+    ]
+    parser = cli._build_parser()
+    for sub in next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices.values():
+        sub.allow_abbrev = False  # README's old flag must not pass as the prefix of a renamed one
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
 def test_case_study_formula_horizons():
     pt = compile_formula(case_study_formula("pt", 0.01))
     assert pt.horizon == 0
@@ -342,23 +370,74 @@ def test_case_study_rejects_non_finite_arguments(tmp_path, capsys, flag, name, v
 
 
 @pytest.mark.parametrize(
-    "total, dt, samples",
-    [("1e308", "1e-8", "inf"), ("6", "1e-300", "6e+300")],
+    "total, dt, start, end",
+    [
+        ("1e308", "1e-8", "total 1e+308 s overflows a count of sampling periods of 1e-08 s", ""),
+        ("6", "1e-300", "6.0 s at a sampling period of 1e-300 s is 6e+300 samples, ", " bytes of physical memory"),
+    ],
     ids=["count-overflows", "count-exceeds-memory"],
 )
-def test_case_study_refuses_more_samples_than_fit_in_memory(tmp_path, capsys, total, dt, samples):
-    """A sample count that overflows, or whose samples would not fit in
-    physical memory, is a ConfigError from the library and one error line
-    with exit 1 from the CLI, raised before any sample is built."""
+def test_case_study_refuses_more_samples_than_fit_in_memory(tmp_path, capsys, total, dt, start, end):
+    """A sample count that overflows (seconds_to_samples' refusal), or whose
+    samples would not fit in physical memory, is a ConfigError from the
+    library and one error line with exit 1 from the CLI, raised before any
+    sample is built."""
     with pytest.raises(ConfigError) as exc:
         gen_case_study_trace(2.0, 2.5, float(total), float(dt))
     message = str(exc.value)
-    assert message.startswith(f"{float(total)} s at a sampling period of {float(dt)} s is {samples} samples, ")
-    assert message.endswith(" bytes of physical memory")
+    assert message.startswith(start)
+    assert message.endswith(end)
     out = tmp_path / "case.csv"
     assert main(["case-study", "--variant", "pt", "--total", total, "--dt", dt, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--total", "6.75", "total 6.75 s is not a multiple of the sampling period 0.5 s"),
+        ("--total", "6.25", "total 6.25 s is not a multiple of the sampling period 0.5 s"),
+        ("--excursion-start", "2.004", "excursion start 2.004 s is not a multiple of the sampling period 0.01 s"),
+        ("--excursion-len", "0.305", "excursion length 0.305 s is not a multiple of the sampling period 0.01 s"),
+    ],
+    ids=["total-6.75", "total-6.25", "excursion-start", "excursion-len"],
+)
+def test_case_study_refuses_seconds_off_the_sample_grid(tmp_path, capsys, flag, value, message):
+    """The scenario's seconds follow the `--time-units seconds` rule: a
+    total, excursion start or length that is not a multiple of the period
+    is refused, naming the quantity, where it used to be rounded (6.75 s
+    at 0.5 s gave 15 samples ending at 7.0 s)."""
+    dt = "0.5" if flag == "--total" else "0.01"
+    args = {"excursion_start": 2.0, "excursion_len": 2.5, "total": 6.0, "delta_t": float(dt)}
+    args[flag[2:].replace("-", "_")] = float(value)
+    with pytest.raises(ConfigError) as exc:
+        gen_case_study_trace(**args)
+    assert str(exc.value) == message
+    out = tmp_path / "case.csv"
+    assert main(["case-study", "--variant", "pt", "--dt", dt, flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_case_study_refuses_a_period_that_does_not_divide_its_windows_before_building(tmp_path, capsys, monkeypatch):
+    """The formula's 1 s window is converted before the trace is built, so
+    a sampling period that does not divide it builds no sample."""
+    def build(*args):
+        raise AssertionError("the trace was built")
+
+    monkeypatch.setattr("mtlmon.cli.gen_case_study_trace", build)
+    out = tmp_path / "case.csv"
+    assert main(["case-study", "--variant", "pt", "--dt", "0.03", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: interval bound 1.0 s is not a multiple of the sampling period 0.03 s\n"
+    assert not out.exists()
+
+
+def test_seconds_to_samples_is_one_rule():
+    assert cli.seconds_to_samples is traceio.seconds_to_samples
+    assert traceio.seconds_to_samples(6.0, 0.01, "total") == 600
+    with pytest.raises(ConfigError, match="^sampling period must be positive, got 0.0$"):
+        traceio.seconds_to_samples(1.0, 0.0)
 
 
 def test_case_study_memory_check_reads_physical_memory(monkeypatch):

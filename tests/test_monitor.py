@@ -69,6 +69,23 @@ def test_init_rejects_unbound_atoms():
         Monitor(f, X_GE_0)
 
 
+@pytest.mark.parametrize("formula", ["p", None, 1.0], ids=["text", "None", "float"])
+def test_init_refuses_a_formula_that_is_not_compiled(formula):
+    with pytest.raises(TypeError) as err:
+        Monitor(formula, X_GE_0)
+    assert str(err.value) == f"formula must be a compiled Formula, got {formula!r}"
+
+
+@pytest.mark.parametrize("bound", [1, "x >= 0", None], ids=["int", "text", "None"])
+def test_init_refuses_an_atom_bound_to_a_non_predicate(bound):
+    """The error names the atom, where a non-Predicate used to leak an
+    AttributeError on its missing `variable`."""
+    f = compile_formula("p or q")
+    with pytest.raises(PredicateError) as err:
+        Monitor(f, {**X_GE_0, "q": bound})
+    assert str(err.value) == f"atom 'q' is bound to {bound!r}, not a Predicate"
+
+
 def test_init_refuses_table_larger_than_memory():
     # 3 rows x 3e12 columns of float64: refused before np.full touches a page
     f = compile_formula("eventually[0,1000000000000] p")

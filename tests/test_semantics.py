@@ -122,6 +122,17 @@ def test_predicate_rejects_infinite_bound_on_bounded_side():
         Predicate("p", "x", hi=-INF)
 
 
+@pytest.mark.parametrize("text", [5, None, b"x", ("x",)], ids=["int", "None", "bytes", "tuple"])
+@pytest.mark.parametrize("field", ["name", "variable"])
+def test_predicate_name_and_variable_must_be_strings(field, text):
+    """A predicate whose name or variable is not a str is refused when
+    built, not accepted to fail, or to read nothing, at its first step."""
+    args = {"name": "p", "variable": "x", field: text}
+    with pytest.raises(PredicateError) as err:
+        Predicate(**args, lo=0.0)
+    assert str(err.value) == f"predicate {field} must be a string, got {text!r}"
+
+
 @pytest.mark.parametrize("bound", [True, "1.0", None, 10**400, -(10**400)], ids=["bool", "str", "None", "big", "-big"])
 @pytest.mark.parametrize("side", ["lo", "hi"])
 def test_predicate_bounds_follow_the_finite_real_rule(side, bound):

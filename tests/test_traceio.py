@@ -26,6 +26,7 @@ from mtlmon import (
     signed_distance,
     write_robustness_csv,
 )
+from mtlmon.traceio import check_predictor
 
 
 def write(tmp_path, text, name="trace.csv"):
@@ -306,6 +307,21 @@ def test_predict_refuses_a_value_that_names_no_mode():
         predict("none", trace, 0, 1)
     with pytest.raises(ValueError, match="'held' is not a valid PredictorMode"):
         predict("held", trace, 0, 1)
+
+
+@pytest.mark.parametrize("mode", list(PredictorMode))
+def test_check_predictor_takes_a_mode_or_its_value(mode):
+    """check_predictor reads a mode's value as predict does: "none" used
+    to pass for a formula with a horizon, where PredictorMode.NONE did not."""
+    if mode is PredictorMode.NONE:
+        for given in (mode, mode.value):
+            with pytest.raises(ConfigError, match="requires a zero-horizon formula"):
+                check_predictor(given, 5)
+    else:
+        assert check_predictor(mode.value, 5) is check_predictor(mode, 5) is mode
+    assert check_predictor(mode.value, 0) is mode
+    with pytest.raises(ValueError, match="'held' is not a valid PredictorMode"):
+        check_predictor("held", 0)
 
 
 def test_case_study_trace_geometry():
