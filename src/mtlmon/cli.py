@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -64,14 +65,13 @@ def intervals_to_samples(tree: SurfaceNode, delta_t: float) -> SurfaceNode:
     return replace(tree, children=children, interval=interval)
 
 
-def _monitor_rows(mon: Monitor, trace: Trace, mode: PredictorMode, steps: int) -> list[tuple[int, float, float]]:
+def _monitor_rows(mon: Monitor, trace: Trace, mode: PredictorMode, steps: int) -> Iterator[tuple[int, float, float]]:
     """Step the monitor through the first `steps` samples of the trace under
-    the given predictor; one output row (index, time, robustness) per step."""
-    rows = []
+    the given predictor, yielding each output row (index, time, robustness)
+    as its step returns, so no row outlives its writing."""
     for i in range(steps):
         ahead = predict(mode, trace, i, mon.horizon)
-        rows.append((i, trace.samples[i].time, mon.step(trace.samples[i], ahead)))
-    return rows
+        yield i, trace.samples[i].time, mon.step(trace.samples[i], ahead)
 
 
 def _read_utf8(path: str, what: str) -> str:
@@ -89,6 +89,12 @@ def _read_utf8(path: str, what: str) -> str:
 def run_monitor(args: argparse.Namespace) -> int:
     """`mtlmon monitor`: stream the trace through the monitor, write the
     robustness CSV and return the exit code.
+
+    Every check (formula, predicates, table size, trace columns and
+    predictor) runs before the output file is opened.  Then each row is
+    written as its step returns it, so the run holds only the loaded trace
+    and the monitor's table; the writer's count and least robustness give
+    the message and the --fail-on-violation exit code.
 
     With the perfect predictor only the steps whose full future is
     actually in the trace are written; held predictions cover every step.
@@ -108,10 +114,9 @@ def run_monitor(args: argparse.Namespace) -> int:
             raise TraceError(f"trace has no column {var!r} (read by predicate {name!r})")
     mode = check_predictor(args.predictor, formula.horizon)  # also when the trace has no rows to predict for
     steps = len(trace) - (formula.horizon if mode is PredictorMode.PERFECT else 0)
-    rows = _monitor_rows(mon, trace, mode, steps)
-    write_robustness_csv(args.out, rows)
-    print(f"wrote {len(rows)} steps to {args.out}")
-    return 2 if args.fail_on_violation and any(value < 0 for _, _, value in rows) else 0
+    count, worst = write_robustness_csv(args.out, _monitor_rows(mon, trace, mode, steps))
+    print(f"wrote {count} steps to {args.out}")
+    return 2 if args.fail_on_violation and worst < 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +281,7 @@ def run_case_study(
     """
     formula = compile_formula(case_study_formula(variant, delta_t))
     trace = gen_case_study_trace(excursion_start, excursion_len, total, delta_t)
-    return _monitor_rows(Monitor(formula, case_study_predicates()), trace, PredictorMode.HOLD, len(trace))
+    return list(_monitor_rows(Monitor(formula, case_study_predicates()), trace, PredictorMode.HOLD, len(trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +307,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_case_study(args: argparse.Namespace) -> int:
     rows = run_case_study(args.variant, args.dt, args.excursion_start, args.excursion_len, args.total)
-    write_robustness_csv(args.out, rows)
-    worst = min(value for _, _, value in rows)
-    print(f"wrote {len(rows)} steps to {args.out} (minimum robustness {worst!r})")
+    count, worst = write_robustness_csv(args.out, rows)
+    print(f"wrote {count} steps to {args.out} (minimum robustness {worst!r})")
     return 0
 
 

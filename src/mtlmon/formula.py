@@ -347,7 +347,10 @@ class _Parser:
 
 
 def parse_formula(text: str) -> SurfaceNode:
-    """Parse specification text into a surface syntax tree."""
+    """Parse specification text into a surface syntax tree.  text that is
+    not a str raises TypeError; a syntax error ParseError."""
+    if not isinstance(text, str):
+        raise TypeError(f"formula text must be a string, got {text!r}")
     parser = _Parser(_tokenize(text))
     try:
         tree = parser.infix(0)

@@ -192,8 +192,15 @@ class Monitor:
 
     def step(self, sample: StateSample, predictions: Sequence[StateSample] = ()) -> Rho:
         """Consume the current sample plus horizon predicted samples and
-        return the robustness of the specification at this step."""
-        predictions = list(predictions)
+        return the robustness of the specification at this step.  A sample
+        or prediction that is not a StateSample raises TypeError, as does
+        predictions that is not iterable; a prediction count other than the
+        horizon raises ValueError, and a bad value as semantics.sample_value
+        does.  A refused step leaves the monitor unchanged."""
+        try:
+            predictions = list(predictions)
+        except TypeError:
+            raise TypeError(f"predictions must be an iterable of StateSample, got {predictions!r}") from None
         if len(predictions) != self.horizon:
             raise ValueError(
                 f"prediction length mismatch: formula horizon is {self.horizon}, "
@@ -309,14 +316,15 @@ class Monitor:
 
     def _checked_values(self, frontier: Sequence[StateSample]) -> dict[str, list[float]]:
         """Each variable the formula reads, over the frontier.  Rejects a
-        step whose samples lack such a variable or give it a value that is
-        not a finite real number, as semantics.sample_value does."""
+        step whose frontier holds an object that is not a StateSample, or
+        samples that lack such a variable or give it a value that is not a
+        finite real number, as semantics.sample_value does."""
         values = {}
         for var in self._variables:
             try:
                 xs = [s.values[var] for s in frontier]
                 fast = all(map(float.__instancecheck__, xs)) and all(map(math.isfinite, xs))
-            except KeyError:
+            except (KeyError, TypeError, AttributeError):  # the last two from a non-sample
                 fast = False
             # two C-level scans pass a frontier of finite floats; any other
             # is read again through sample_value, which raises for a bad one

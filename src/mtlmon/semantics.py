@@ -5,7 +5,8 @@ Robustness values live on the extended real line: ordinary floats plus
 `finite_real`, says which values those are.  `Monitor.step` and the
 oracle (through `signed_distance`) read every sample value through
 `sample_value`, so they refuse the same values (NaN, infinities, bools,
-non-numbers) with the same exception and message; `Trace` checks sample
+non-numbers), and any object that is not a sample, with the same
+exception and message; `Trace` checks sample
 times and its period by it, `Predicate` its bounds and gain, and
 `gen_case_study_trace` its scenario parameters.  A `Trace` that is not
 uniformly sampled raises `TraceError`, whether it is built by hand or
@@ -180,12 +181,15 @@ def physical_memory() -> int:
 
 
 def sample_value(sample: StateSample, variable: str) -> float:
-    """The sample's value of the variable.  Raises KeyError if the sample
-    lacks the variable and ValueError if its value is not a finite real."""
+    """The sample's value of the variable.  Raises TypeError if sample is
+    not a StateSample (an object without a mapping of values), KeyError if
+    it lacks the variable and ValueError if its value is not a finite real."""
     try:
         x = sample.values[variable]
     except KeyError:
         raise KeyError(f"unknown variable {variable!r} in sample at t={sample.time}") from None
+    except (TypeError, AttributeError):  # such as None, or a dict, whose values is a method
+        raise TypeError(f"sample must be a StateSample, got {sample!r}") from None
     if not finite_real(x):
         raise ValueError(
             f"value {x!r} of variable {variable!r} in sample at t={sample.time} is not a finite real number"
@@ -213,7 +217,11 @@ def parse_predicates(text: str) -> dict[str, Predicate]:
         name : var <= c
         name : var >= c
         name : a <= var <= b
+
+    text that is not a str raises TypeError; a bad line PredicateError.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"predicate text must be a string, got {text!r}")
     out: dict[str, Predicate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

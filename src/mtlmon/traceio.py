@@ -202,7 +202,11 @@ def gen_case_study_trace(
     as well.  `seconds_to_samples` makes all three counts, so a total,
     excursion start or length that is not a multiple of delta_t raises
     ConfigError, as an interval bound under `--time-units seconds` does,
-    rather than being rounded.
+    rather than being rounded.  The geometry is checked on those counts,
+    not on the seconds: the count of `total` must be positive and the
+    excursion must lie within it (0 <= start, 0 <= length, start + length
+    <= count), so an excursion that ends exactly at `total` on the grid
+    passes whatever the float sum of its seconds reads.
 
     So does a scenario whose samples would not fit in physical memory
     (`semantics.physical_memory`, which `Monitor` reads for its table),
@@ -219,7 +223,9 @@ def gen_case_study_trace(
         if not finite_real(value):
             raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     count = seconds_to_samples(total, delta_t, "total")  # checks delta_t first
-    if total <= 0 or excursion_start < 0 or excursion_len < 0 or excursion_start + excursion_len > total:
+    start = seconds_to_samples(excursion_start, delta_t, "excursion start")
+    stop = start + seconds_to_samples(excursion_len, delta_t, "excursion length")
+    if count <= 0 or start < 0 or stop < start or stop > count:
         raise ConfigError(
             f"invalid scenario geometry: excursion [{excursion_start}, {excursion_start + excursion_len}] "
             f"must lie within [0, {total}]"
@@ -230,15 +236,19 @@ def gen_case_study_trace(
             f"{total} s at a sampling period of {delta_t} s is {count + 1:.6g} samples, "
             f"more than fit in the {ram} bytes of physical memory"
         )
-    start = seconds_to_samples(excursion_start, delta_t, "excursion start")
-    stop = start + seconds_to_samples(excursion_len, delta_t, "excursion length")
     samples = (StateSample({"lambda": 1.2 if start <= k < stop else 1.0}, k * delta_t) for k in range(count + 1))
     return Trace(tuple(samples), delta_t)
 
 
-def write_robustness_csv(path: str, rows: Iterable[tuple[int, float, Rho]]) -> None:
-    """Write monitor output rows as ``step,time,robustness``."""
+def write_robustness_csv(path: str, rows: Iterable[tuple[int, float, Rho]]) -> tuple[int, Rho]:
+    """Write monitor output rows as ``step,time,robustness``, each as it
+    arrives, so an iterator of rows is never held whole; a run that stops
+    early leaves the rows written so far.  Returns how many rows were
+    written and their least robustness, (0, inf) for none."""
+    count, worst = 0, math.inf
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,time,robustness\n")
-        for step, time, value in rows:
+        for count, (step, time, value) in enumerate(rows, 1):
             fh.write(f"{step},{time!r},{value!r}\n")
+            worst = min(worst, value)
+    return count, worst

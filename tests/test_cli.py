@@ -4,6 +4,7 @@ import io
 import math
 import random
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from mtlmon.cli import (
     run_case_study,
 )
 from mtlmon.formula import desugar, format_formula, parse_formula
-from mtlmon.traceio import gen_case_study_trace
+from mtlmon.traceio import gen_case_study_trace, load_trace
 
 from helpers import ATOMS, random_core_text, random_predicates, random_surface_tree, random_trace
 
@@ -80,38 +81,66 @@ def test_monitor_fail_on_violation(tmp_path):
     assert read_values(out) == [1.0, -2.0]
 
 
+def test_monitor_holds_only_the_loaded_trace(tmp_path, capsys):
+    """Each row is written as its step returns it: the run's tracemalloc
+    peak lies within 32 bytes a row of load_trace's own, where a list of
+    the output rows costs about 130."""
+    rows = 20_000
+    trace = "time,x\n" + "".join(f"{k * 0.01!r},{k % 7 - 3}.0\n" for k in range(rows))
+    f, p, t, out = setup_run(tmp_path, "p", "p : x >= 0\n", trace)
+
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    loaded = peak(load_trace, str(t))
+    ran = peak(main, monitor_args(f, p, t, out, predictor="none"))
+    assert capsys.readouterr().out == f"wrote {rows} steps to {out}\n"
+    assert ran - loaded <= 32 * rows, f"{(ran - loaded) / rows:.1f} bytes a row"
+
+
 def test_monitor_exit_codes(tmp_path, capsys):
     f, p, t, out = setup_run(tmp_path, "p and (", "p : x >= 0\n", "time,x\n0.0,1.0\n")
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 4  # bad formula
+
+    def refused(args):  # every check runs before the output file is opened
+        code = main(args)
+        assert not out.exists()
+        return code
+
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 4  # bad formula
     f.write_text("q")
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 4  # unbound atom
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 4  # unbound atom
     f.write_text("p")
     p.write_text("p : x >= 1e400\n")
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 4  # bound overflows to inf
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 4  # bound overflows to inf
     p.write_text("p : x >= 0\n")
     f.write_text("eventually[0,1000000000000] p")
-    assert main(monitor_args(f, p, t, out)) == 4  # table larger than physical memory
+    assert refused(monitor_args(f, p, t, out)) == 4  # table larger than physical memory
     f.write_text("p")
     t.write_text("time,x\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # bad trace
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 3  # bad trace
     t.write_text("time,x,x\n0.0,1.0,2.0\n")
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # duplicate column
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 3  # duplicate column
     t.write_text("time,x\n0.0,1_5\n")
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # digit separator
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 3  # digit separator
     p.write_text("p : y >= 0\n")
     t.write_text("time,x\n0.0,1.0\n")
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # no column the predicate reads
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 3  # no column the predicate reads
     t.write_text("time,x\n")
     capsys.readouterr()
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 3  # the same, header only
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 3  # the same, header only
     assert capsys.readouterr().err == "error: trace has no column 'y' (read by predicate 'p')\n"
     p.write_text("p : x >= 0\n")
     f.write_text("eventually[0,2] p")
     t.write_text("time,x\n")
-    assert main(monitor_args(f, p, t, out, predictor="none")) == 1  # no predictions for a future formula, no rows
+    assert refused(monitor_args(f, p, t, out, predictor="none")) == 1  # no predictions for a future formula, no rows
     t.write_text("time,x\n0.0,1.0\n")
-    assert main(monitor_args(f, p, tmp_path / "absent.csv", out, predictor="none")) == 1
-    assert main(["monitor", "--formula", str(f)]) == 1  # missing required flags
+    assert refused(monitor_args(f, p, tmp_path / "absent.csv", out, predictor="none")) == 1
+    assert refused(["monitor", "--formula", str(f)]) == 1  # missing required flags
     assert main(["--help"]) == 0
 
 
@@ -138,6 +167,7 @@ def test_monitor_rejects_bad_files_in_one_line(tmp_path, capsys, which, content,
     assert main(monitor_args(files["formula"], files["predicates"], files["trace"], tmp_path / "out.csv", "hold")) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()  # every check runs before the output file is opened
     if b"\xff" in content:  # each file's error names the byte, as the trace's does
         assert "is not UTF-8 text: byte 0xff (" in err
     if which == "formula" and b"\xff" in content:  # a ParseError position counts characters
@@ -418,6 +448,19 @@ def test_case_study_refuses_seconds_off_the_sample_grid(tmp_path, capsys, flag, 
     assert main(["case-study", "--variant", "pt", "--dt", dt, flag, value, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_case_study_excursion_may_end_at_the_total(tmp_path, capsys):
+    # 6.15 + 1.2 reads 7.3500000000000005 in floats; 123 + 24 samples end at sample 147
+    trace = gen_case_study_trace(6.15, 1.2, 7.35, 0.05)
+    assert [k for k, s in enumerate(trace.samples) if s.values["lambda"] == 1.2] == list(range(123, 147))
+    out = tmp_path / "case.csv"
+    assert main([
+        "case-study", "--variant", "pt", "--dt", "0.05", "--excursion-start", "6.15",
+        "--excursion-len", "1.2", "--total", "7.35", "--out", str(out),
+    ]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote 148 steps to {out} (minimum robustness ")
+    assert len(read_values(out)) == 148
 
 
 def test_case_study_refuses_a_period_that_does_not_divide_its_windows_before_building(tmp_path, capsys, monkeypatch):

@@ -99,6 +99,12 @@ def test_parse_rejects_non_ascii_digits_in_interval():
     assert err.value.position == len("eventually[0,")
 
 
+@pytest.mark.parametrize("call", [parse_formula, compile_formula])
+def test_formula_text_must_be_a_string(call):
+    with pytest.raises(TypeError, match="^formula text must be a string, got 123$"):
+        call(123)
+
+
 def test_parse_rejects_trailing_tokens():
     with pytest.raises(ParseError, match="unexpected token"):
         parse_formula("p q")

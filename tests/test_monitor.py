@@ -488,6 +488,19 @@ def test_rejected_step_leaves_monitor_unchanged():
         with pytest.raises(ValueError, match=re.escape(f"value {bad!r} of variable 'x' in sample at t=0.1 is not")):
             mon.step(StateSample({"x": bad, "y": 0.0}, 0.1))
         assert (mon.table.tobytes(), mon.i) == before
+    for bad in ({"x": 8.0, "y": 0.0}, None):  # a dict's values is a method, None has none
+        with pytest.raises(TypeError, match=f"^sample must be a StateSample, got {re.escape(repr(bad))}$"):
+            mon.step(bad)
+        assert (mon.table.tobytes(), mon.i) == before
+    with pytest.raises(TypeError, match="^predictions must be an iterable of StateSample, got 5$"):
+        mon.step(StateSample({"x": 8.0, "y": 0.0}, 0.1), 5)
+    assert (mon.table.tobytes(), mon.i) == before
+    ahead = Monitor(compile_formula("eventually[0,2] p"), preds)
+    ahead.step(x_sample(1.0), [x_sample(2.0), x_sample(3.0)])
+    ahead_before = (ahead.table.tobytes(), ahead.i)
+    with pytest.raises(TypeError, match="^sample must be a StateSample, got None$"):
+        ahead.step(x_sample(2.0), [None, None])
+    assert (ahead.table.tobytes(), ahead.i) == ahead_before
     assert mon.step(StateSample({"x": 3, "y": np.float32(0.0)}, 0.1)) == 1.0  # other reals pass
 
 

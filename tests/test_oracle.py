@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,6 +276,19 @@ def test_oracle_refuses_what_the_monitor_refuses():
         assert raised(offline_robustness, f, PQ, trace, 1) == expected
         assert raised(offline_robustness_series, f, PQ, trace) == expected
         assert raised(boolean_eval, f, PQ, trace, 1) == expected
+
+
+def test_oracle_refuses_a_non_sample_as_the_monitor_does():
+    f = compile_formula("p since[0,2] q")
+    first = StateSample({"x": 1.0, "y": 0.0}, 0.0)
+    trace = Trace((first, SimpleNamespace(time=0.1)), 0.1)  # Trace reads only the time
+    mon = Monitor(f, PQ)
+    mon.step(first)
+    expected = raised(mon.step, trace.samples[1])
+    assert expected == (TypeError, "sample must be a StateSample, got namespace(time=0.1)")
+    assert raised(offline_robustness, f, PQ, trace, 1) == expected
+    assert raised(offline_robustness_series, f, PQ, trace) == expected
+    assert raised(boolean_eval, f, PQ, trace, 1) == expected
 
 
 def test_oracle_and_monitor_take_other_reals():

@@ -212,6 +212,11 @@ def test_parse_predicates():
     assert preds["hot"].lo == 90.5 and preds["hot"].hi == INF
 
 
+def test_parse_predicates_text_must_be_a_string():
+    with pytest.raises(TypeError, match="^predicate text must be a string, got None$"):
+        parse_predicates(None)
+
+
 def test_parse_predicates_duplicate():
     with pytest.raises(PredicateError, match="duplicate"):
         parse_predicates("a : x <= 1\na : x >= 0\n")

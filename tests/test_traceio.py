@@ -346,6 +346,15 @@ def test_case_study_trace_rejects_bad_geometry():
         gen_case_study_trace(0.0, 1.0, 6.0, 0.0)
 
 
+def test_write_robustness_csv_returns_count_and_least_robustness(tmp_path):
+    path = tmp_path / "out.csv"
+    assert write_robustness_csv(str(path), iter([])) == (0, math.inf)
+    assert path.read_text() == "step,time,robustness\n"
+    rows = iter([(0, 0.0, 2.5), (1, 0.1, -1.0), (2, 0.2, math.inf)])  # an iterator, read once
+    assert write_robustness_csv(str(path), rows) == (3, -1.0)
+    assert path.read_text() == "step,time,robustness\n0,0.0,2.5\n1,0.1,-1.0\n2,0.2,inf\n"
+
+
 def test_write_robustness_csv_renders_infinities(tmp_path):
     path = tmp_path / "out.csv"
     write_robustness_csv(str(path), [(0, 0.0, math.inf), (1, 0.1, -math.inf), (2, 0.2, 2.5)])
