@@ -32,7 +32,7 @@ import numpy as np
 
 from .formula import Formula, Interval, ParseError, SurfaceNode, compile_formula, desugar, parse_formula
 from .monitor import Monitor
-from .semantics import Predicate, PredicateError, StateSample, Trace, TraceError, parse_predicates
+from .semantics import Predicate, PredicateError, StateSample, Trace, TraceError, not_utf8, parse_predicates
 from .traceio import (
     ConfigError,
     PredictorMode,
@@ -76,13 +76,14 @@ def _monitor_rows(mon: Monitor, trace: Trace, mode: PredictorMode, steps: int) -
 
 def _read_utf8(path: str, what: str) -> str:
     """The text of the formula or predicates file.  A byte that is not
-    UTF-8 raises ParseError or PredicateError, one message for both that
-    names the byte and the character position where decoding failed."""
+    UTF-8 raises ParseError or PredicateError with `semantics.not_utf8`'s
+    message, the trace's, and the character position where decoding
+    failed."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         chars = len(exc.object[: exc.start].decode("utf-8"))  # a position in characters, not bytes
-        error = ParseError(f"{what} file is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})", chars)
+        error = ParseError(not_utf8(f"{what} file", exc), chars)
         raise (error if what == "formula" else PredicateError(str(error))) from None
 
 
@@ -264,8 +265,10 @@ def run_case_study(
     excursion_start: float,
     excursion_len: float,
     total: float,
-) -> list[tuple[int, float, float]]:
-    """Monitor one scenario variant over the synthetic signal.
+) -> Iterator[tuple[int, float, float]]:
+    """Monitor one scenario variant over the synthetic signal: an iterator
+    of output rows (index, time, robustness), each made when it is asked
+    for, as `mtlmon monitor` makes them, so a run holds only the trace.
 
     Every quantity in seconds becomes a count of sampling periods by
     `traceio.seconds_to_samples`, the rule `--time-units seconds` uses: the
@@ -277,11 +280,12 @@ def run_case_study(
 
     Every variant runs under held predictions, since the scenario has no
     source of real forecasts; the past-only variant's horizon is 0, so it
-    is handed none.
+    is handed none.  The formula and the trace are checked and built when
+    this is called, before the first row is asked for.
     """
     formula = compile_formula(case_study_formula(variant, delta_t))
     trace = gen_case_study_trace(excursion_start, excursion_len, total, delta_t)
-    return list(_monitor_rows(Monitor(formula, case_study_predicates()), trace, PredictorMode.HOLD, len(trace)))
+    return _monitor_rows(Monitor(formula, case_study_predicates()), trace, PredictorMode.HOLD, len(trace))
 
 
 # ---------------------------------------------------------------------------

@@ -488,7 +488,10 @@ class _CoreBuilder:
 
 
 def desugar(tree: SurfaceNode) -> Formula:
-    """Compile a surface tree into an annotated core Formula."""
+    """Compile a surface tree into an annotated core Formula.  A tree that
+    is not a SurfaceNode raises TypeError."""
+    if not isinstance(tree, SurfaceNode):
+        raise TypeError(f"tree must be a SurfaceNode, got {tree!r}")
     builder = _CoreBuilder()
     try:
         root = builder.lower(tree)

@@ -102,7 +102,9 @@ def _eval(
     The calls of one such function share one memo per (subformula, step).
     The node and each step follow semantics.checked_index: one outside the
     formula or the trace raises IndexError, one that is not an integer
-    TypeError."""
+    TypeError, as does a trace that is not a Trace."""
+    if not isinstance(trace, Trace):
+        raise TypeError(f"trace must be a Trace, got {trace!r}")
     nodes, samples = formula.nodes, trace.samples
     node = node_index(node, len(nodes))
     atom, bottom, top, join, meet, neg = lattice

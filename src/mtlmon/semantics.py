@@ -69,7 +69,7 @@ class Trace:
     only for traces of at most one sample, where no period can be inferred.
     Timestamps must be finite real numbers (`finite_real`) and uniform to
     a relative tolerance of 1e-6; a trace that breaks any of these raises
-    TraceError.
+    TraceError.  A sample without a time, such as None, raises TypeError.
     variables names the columns of the file a trace was loaded from, after
     time and in header order, also when it has no rows; it is empty for a
     trace built by hand.
@@ -82,9 +82,11 @@ class Trace:
     def __post_init__(self) -> None:
         if self.delta_t is None and len(self.samples) > 1:
             raise TraceError(f"sampling period missing for a trace of {len(self.samples)} samples")
-        bad = next((k for k, s in enumerate(self.samples) if not finite_real(s.time)), None)
-        if bad is not None:
-            raise TraceError(f"non-finite time {self.samples[bad].time!r} at row {bad}")
+        for k, s in enumerate(self.samples):
+            if not finite_real(time := getattr(s, "time", None)):
+                if not hasattr(s, "time"):
+                    raise TypeError(f"samples[{k}] must be a StateSample, got {s!r}")
+                raise TraceError(f"non-finite time {time!r} at row {k}")
         if self.delta_t is not None:
             if not (finite_real(self.delta_t) and self.delta_t > 0):
                 raise TraceError(f"sampling period must be positive and finite, got {self.delta_t!r}")
@@ -96,6 +98,12 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+
+def not_utf8(what: str, exc: UnicodeDecodeError) -> str:
+    """The one message for a file that is not UTF-8 text, the trace or a
+    formula or predicates file: the byte where decoding failed, and why."""
+    return f"{what} is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
 
 
 class PredicateError(ValueError):

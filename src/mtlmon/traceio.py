@@ -11,7 +11,9 @@ sampling period is inferred from the first two rows and uniformity is
 enforced to a 1e-6 relative tolerance; configuring it separately would
 just invite mismatch bugs.  A data cell is a finite number written in
 ASCII without ``_`` (what ``float()`` takes, less its digit separators
-and non-ASCII digits); column names may be any text.
+and non-ASCII digits); column names may be any text.  A time that is such
+a numeral but not finite, such as ``nan``, reaches `Trace`, which refuses
+it with the message a hand-built trace gets.
 
 A loaded trace holds every variable value in one float64 ``array``, row
 after row in header order, 8 bytes per cell.  Each sample's ``values``
@@ -33,7 +35,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 from . import semantics
-from .semantics import Rho, StateSample, Trace, TraceError, checked_index, finite_real
+from .semantics import Rho, StateSample, Trace, TraceError, checked_index, finite_real, not_utf8
 
 
 class TraceExhausted(TraceError):
@@ -84,7 +86,7 @@ def load_trace(path: str) -> Trace:
     try:
         variables, samples = _read_samples(path)
     except UnicodeDecodeError as exc:
-        raise TraceError(f"trace is not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
+        raise TraceError(not_utf8("trace", exc)) from None
     except csv.Error as exc:  # such as a field over csv's size limit
         raise TraceError(f"malformed trace: {exc}") from None
     delta_t = samples[1].time - samples[0].time if len(samples) > 1 else None
@@ -116,25 +118,27 @@ def _read_samples(path: str) -> tuple[tuple[str, ...], list[StateSample]]:
                 parsed = list(map(float, row))
             except ValueError:
                 raise _bad_cell(ridx, header, row) from None
-            if not all(map(math.isfinite, parsed)):
-                raise _bad_cell(ridx, header, row)
+            if not all(map(math.isfinite, parsed)) and (error := _bad_cell(ridx, header, row)):
+                raise error
             samples.append(StateSample(RowValues(index, data, len(data)), parsed[0]))
             data.extend(parsed[1:])
     return tuple(index), samples
 
 
-def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError:
+def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError | None:
     """The error for the first cell of a row that is not a finite number
-    written in ASCII without ``_``."""
+    written in ASCII without ``_``, passing over a time that is such a
+    numeral but not finite: `Trace` refuses that time, in the words it
+    uses for a hand-built trace.  None when the row has no other bad cell."""
     for name, cell in zip(header, row):
         try:
-            finite = cell.isascii() and "_" not in cell and math.isfinite(float(cell))
+            good = cell.isascii() and "_" not in cell and (math.isfinite(float(cell)) or name == "time")
         except ValueError:
-            finite = False
-        if not finite:
+            good = False
+        if not good:
             # strip ASCII whitespace only, so that a non-ASCII space shows
             return TraceError(f"non-numeric value {cell.strip(string.whitespace)!r} at row {ridx}, column {name!r}")
-    raise AssertionError("row has no bad cell")
+    return None
 
 
 def check_predictor(mode: PredictorMode | str, horizon: int) -> PredictorMode:
@@ -210,14 +214,15 @@ def gen_case_study_trace(
 
     So does a scenario whose samples would not fit in physical memory
     (`semantics.physical_memory`, which `Monitor` reads for its table),
-    checked before any sample is built.  A sample is taken to cost 410
-    bytes, what `mtlmon case-study` holds for it: 265 in the trace this
-    function builds and the output row kept until the CSV is written.  The
-    tracemalloc peak of `cli.run_case_study` over 100,001 and 200,001
-    samples of the pt variant, divided by their number, read 402.7 and
-    397.5; between 20,001 and 40,001 samples each sample added 385.6 to
-    386.2 bytes in the three variants, on top of a fixed 1.2 to 1.6 MB
-    (Python 3.11, 64-bit Linux)."""
+    checked before any sample is built.  A sample is taken to cost 265
+    bytes, what the trace this function builds holds for it: `mtlmon
+    case-study` writes each output row as it is made, so the trace is all
+    that it holds in proportion to the scenario.  The tracemalloc peak of
+    this function over 10,001 to 40,001 samples, divided by their number,
+    read 264.3 to 265.1 bytes; stepping the pt variant over a built trace
+    and writing its rows held 1.1 to 2.1 MB more, from 10,001 to 80,001
+    samples, a figure that does not grow with them (Python 3.11, 64-bit
+    Linux)."""
     args = {"excursion_start": excursion_start, "excursion_len": excursion_len, "total": total}
     for name, value in args.items():
         if not finite_real(value):
@@ -231,7 +236,7 @@ def gen_case_study_trace(
             f"must lie within [0, {total}]"
         )
     ram = semantics.physical_memory()
-    if (count + 1) * 410 > ram:
+    if (count + 1) * 265 > ram:
         raise ConfigError(
             f"{total} s at a sampling period of {delta_t} s is {count + 1:.6g} samples, "
             f"more than fit in the {ram} bytes of physical memory"
@@ -244,7 +249,10 @@ def write_robustness_csv(path: str, rows: Iterable[tuple[int, float, Rho]]) -> t
     """Write monitor output rows as ``step,time,robustness``, each as it
     arrives, so an iterator of rows is never held whole; a run that stops
     early leaves the rows written so far.  Returns how many rows were
-    written and their least robustness, (0, inf) for none."""
+    written and their least robustness, (0, inf) for none.  rows that are
+    not iterable raise TypeError before the file is opened."""
+    if not isinstance(rows, Iterable):
+        raise TypeError(f"rows must be an iterable of (step, time, robustness), got {rows!r}")
     count, worst = 0, math.inf
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,time,robustness\n")

@@ -286,10 +286,10 @@ def test_criterion_6_property_suites():
 
 
 def test_criterion_7_case_study_scenarios():
-    short = run_case_study("pt", 0.01, 2.0, 0.3, 6.0)
+    short = list(run_case_study("pt", 0.01, 2.0, 0.3, 6.0))
     short_ok = all(value >= 0 for _, _, value in short)
 
-    long_pt = run_case_study("pt", 0.01, 2.0, 2.5, 6.0)
+    long_pt = list(run_case_study("pt", 0.01, 2.0, 2.5, 6.0))
     long_ok = any(value < 0 for _, _, value in long_pt)
 
     # the past-only variant needs no predictions, so the streamed outputs
@@ -301,7 +301,7 @@ def test_criterion_7_case_study_scenarios():
     ref_long = offline_robustness_series(formula, case_study_predicates(), trace_long)
     oracle_ok = [v for _, _, v in short] == ref_short and [v for _, _, v in long_pt] == ref_long
 
-    long_ft = run_case_study("ft", 0.01, 2.0, 2.5, 6.0)
+    long_ft = list(run_case_study("ft", 0.01, 2.0, 2.5, 6.0))
     excursion = [
         i for i, s in enumerate(trace_long.samples) if s.values["lambda"] == 1.2
     ]

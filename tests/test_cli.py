@@ -2,8 +2,12 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import random
+import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -60,7 +64,10 @@ def test_monitor_eventually_perfect_single_row(tmp_path):
         tmp_path, "eventually[0,1] p", "p : x >= 0\n", "time,x\n0.0,-1.0\n0.1,2.0\n"
     )
     assert main(monitor_args(f, p, t, out)) == 0
-    assert read_values(out) == [2.0]
+    assert out.read_bytes() == b"step,time,robustness\n0,0.0,2.0\n"
+    t.write_text("time,x\n0.0,1.0\n0.1,2.5\n0.2,-1.0\n")  # a row per step whose full future is in the trace
+    assert main(monitor_args(f, p, t, out)) == 0
+    assert out.read_bytes() == b"step,time,robustness\n0,0.0,2.5\n1,0.1,2.5\n"
 
 
 def test_monitor_perfect_emission_range(tmp_path):
@@ -316,8 +323,15 @@ def test_run_bench_memory_is_flat_in_steps():
     assert growth_kb < 1024
 
 
-def test_bench_cli_requires_horizon_without_sweep():
+def test_bench_cli_requires_horizon_without_sweep(capsys):
     assert main(["bench", "--template", "E", "--n", "1"]) == 1
+    assert main(["bench", "--template", "E", "--n", "1", "--horizon", "0", "--steps", "30"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --horizon is required without --sweep", "error: horizon must be positive, got 0",
+    ]
+    assert main(["bench", "--template", "E", "--n", "1", "--horizon", "500", "--steps", "30"]) == 0
+    line = r"template=E n=1 H=500 steps=30 warmup_steps=30 mean_ms=\d+\.\d{3} variance_ms2=\d+\.\d{6}\n"
+    assert re.fullmatch(line, capsys.readouterr().out)
 
 
 def readme_commands():
@@ -494,20 +508,22 @@ def test_case_study_memory_check_reads_physical_memory(monkeypatch):
     assert len(gen_case_study_trace(2.0, 2.5, 6.0, 0.01)) == 601
 
 
-def test_case_study_memory_check_counts_the_output_rows(tmp_path, capsys, monkeypatch):
-    """`mtlmon case-study` holds an output row per sample besides the
-    trace, and the check counts both: a machine whose memory fits the
-    default scenario's 601 samples at 265 bytes each (the trace alone) but
-    not its rows as well refuses it in one error line, exit 1."""
-    monkeypatch.setattr("mtlmon.semantics.physical_memory", lambda: 48 * 4096)
-    assert 601 * 265 < 48 * 4096
+def test_case_study_memory_check_counts_only_the_trace(tmp_path, capsys, monkeypatch):
+    """`mtlmon case-study` writes each row as it is made, so the check
+    counts only the trace, 265 bytes a sample: a machine whose memory holds
+    the default scenario's 601 samples at that cost runs it, and one with a
+    byte less refuses it in one error line, exit 1."""
     out = tmp_path / "case.csv"
+    monkeypatch.setattr("mtlmon.semantics.physical_memory", lambda: 601 * 265 - 1)
     assert main(["case-study", "--variant", "pt", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "error: 6.0 s at a sampling period of 0.01 s is 601 samples, "
-        "more than fit in the 196608 bytes of physical memory\n"
+        "more than fit in the 159264 bytes of physical memory\n"
     )
     assert not out.exists()
+    monkeypatch.setattr("mtlmon.semantics.physical_memory", lambda: 601 * 265)
+    assert main(["case-study", "--variant", "pt", "--out", str(out)]) == 0
+    assert len(read_values(out)) == 601
 
 
 def test_case_study_pt_with_fail_flag_exits_two(tmp_path):
@@ -523,6 +539,37 @@ def test_case_study_pt_with_fail_flag_exits_two(tmp_path):
     )
     args = monitor_args(f, p, t, out, predictor="none", extra=("--fail-on-violation",))
     assert main(args) == 2
+
+
+def test_entry_point_exit_codes_reach_the_shell(tmp_path):
+    """`python -m mtlmon.cli` runs `sys.exit(main())`, as the `mtlmon`
+    script that pyproject.toml installs does: each exit code reaches the
+    calling process, and a refused run prints one `error:` line and no
+    traceback."""
+    root = Path(__file__).resolve().parents[1]
+    scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
+    assert scripts.startswith('mtlmon = "mtlmon.cli:main"\n')
+    f, p, t, out = setup_run(tmp_path, "p", "p : x >= 0\n", "time,x\n0.0,1.0\n0.1,-2.0\n")
+    bad_trace, bad_formula = tmp_path / "bad.csv", tmp_path / "bad.mtl"
+    bad_trace.write_text("time,x\n0.0,1_5\n")
+    bad_formula.write_text("p and (")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for args, code in [
+        (monitor_args(f, p, t, out, "none"), 0),
+        (["bench", "--template", "E", "--n", "1", "--horizon", "0", "--steps", "30"], 1),
+        (monitor_args(f, p, t, out, "none", ["--fail-on-violation"]), 2),
+        (monitor_args(f, p, bad_trace, out, "none"), 3),
+        (monitor_args(bad_formula, p, t, out, "none"), 4),
+    ]:
+        run = subprocess.run(
+            [sys.executable, "-m", "mtlmon.cli", *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == code, run.stderr
+        if code in (0, 2):
+            assert (run.stdout, run.stderr) == (f"wrote 2 steps to {out}\n", "")
+        else:
+            assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: "), run.stderr
+            assert "Traceback" not in run.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ def test_parse_symbol_spellings():
     words = parse_formula("not (eventually[0,3] p or always[1,2] q) and once[0,inf) r")
     symbols = parse_formula("!(<>[0,3] p \\/ [][1,2] q) /\\ <*>[0,inf) r")
     assert words == symbols
+    # every operator, in one formula per spelling
+    words = (
+        "not (eventually[0,1] p or always[0,1] p) and once[0,inf) p"
+        " -> historically[0,1] p and (p until[0,1] p) and (p since[0,1] p)"
+    )
+    symbols = "!(<>[0,1] p \\/ [][0,1] p) /\\ <*>[0,inf) p -> [*][0,1] p /\\ (p U[0,1] p) /\\ (p S[0,1] p)"
+    assert parse_formula(words) == parse_formula(symbols)
     # the past operators accept an unbounded interval in either spelling
     for word, symbol, text in [
         ("since", "S", "p {}[2,inf) q"),

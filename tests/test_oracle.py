@@ -10,9 +10,11 @@ from mtlmon import (
     Predicate,
     StateSample,
     Trace,
+    TraceError,
     boolean_eval,
     compile_formula,
     desugar,
+    load_trace,
     offline_robustness,
     offline_robustness_series,
 )
@@ -226,6 +228,7 @@ def test_trace_rejects_non_uniform_times():
     [
         ([math.nan], None, "non-finite time nan at row 0"),
         ([0.0, math.nan, 0.2], 0.1, "non-finite time nan at row 1"),
+        ([0.0, -math.inf], 0.1, "non-finite time -inf at row 1"),
         ([0.0, 0.1], math.inf, "sampling period must be positive and finite, got inf"),
         ([0.0, "0.1"], 0.1, "non-finite time '0.1' at row 1"),
         ([None], None, "non-finite time None at row 0"),
@@ -236,13 +239,20 @@ def test_trace_rejects_non_uniform_times():
         ([0.0, 1.0], 10**400, "sampling period must be positive and finite, got 10+$"),
     ],
     ids=[
-        "nan-single", "nan-middle", "inf-period", "str", "none", "int-over-float-range", "bool",
+        "nan-single", "nan-middle", "inf-time", "inf-period", "str", "none", "int-over-float-range", "bool",
         "bool-period", "str-period", "int-period-over-float-range",
     ],
 )
-def test_trace_rejects_non_finite_times_and_period(times, delta_t, message):
+def test_trace_rejects_non_finite_times_and_period(tmp_path, times, delta_t, message):
     with pytest.raises(ValueError, match=message):
         Trace(tuple(StateSample({"x": 0.0}, t) for t in times), delta_t)
+    if message.startswith("non-finite time") and all(type(t) is float for t in times):
+        # a file's time that parses but is not finite gets the same message
+        path = tmp_path / "trace.csv"
+        path.write_text("time,x\n" + "".join(f"{t!r},0.0\n" for t in times))
+        with pytest.raises(TraceError) as loaded:
+            load_trace(str(path))
+        assert type(loaded.value) is TraceError and str(loaded.value) == message
 
 
 def test_trace_requires_period_for_several_samples():

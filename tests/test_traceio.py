@@ -13,14 +13,17 @@ import mtlmon
 from mtlmon import (
     ConfigError,
     Monitor,
+    Predicate,
     PredictorMode,
     StateSample,
     Trace,
     TraceError,
     TraceExhausted,
     compile_formula,
+    desugar,
     gen_case_study_trace,
     load_trace,
+    offline_robustness,
     parse_predicates,
     predict,
     signed_distance,
@@ -54,7 +57,7 @@ def test_load_skips_comments_and_blank_lines(tmp_path):
     "times, delta_t, csv_body, message",
     [
         ([0.0, 0.1], None, None, "sampling period missing for a trace of 2 samples"),
-        ([0.0, math.nan], 0.1, None, "non-finite time nan at row 1"),
+        ([0.0, math.nan], 0.1, "0.0,1.0\nnan,1.0\n", "non-finite time nan at row 1"),
         ([0.1, 0.0], -0.1, "0.1,1.0\n0.0,1.0\n", "sampling period must be positive and finite, got -0.1"),
         ([0.0, 0.1, 0.25], 0.1, "0.0,1.0\n0.1,1.0\n0.25,1.0\n", "non-uniform sampling at row 2"),
     ],
@@ -71,6 +74,30 @@ def test_trace_checks_raise_one_trace_error(tmp_path, times, delta_t, csv_body, 
         with pytest.raises(TraceError) as loaded:
             load_trace(write(tmp_path, "time,x\n" + csv_body))
         assert type(loaded.value) is TraceError and str(loaded.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda path: Trace((None,)), "samples[0] must be a StateSample, got None"),
+        (lambda path: desugar(123), "tree must be a SurfaceNode, got 123"),
+        (
+            lambda path: offline_robustness(compile_formula("p"), {"p": Predicate("p", "x", lo=0.0)}, None, 0),
+            "trace must be a Trace, got None",
+        ),
+        (lambda path: write_robustness_csv(path, 5), "rows must be an iterable of (step, time, robustness), got 5"),
+    ],
+    ids=["Trace-samples", "desugar-tree", "offline_robustness-trace", "write_robustness_csv-rows"],
+)
+def test_entry_points_name_an_argument_of_the_wrong_type(tmp_path, call, message):
+    """An argument of the wrong type raises TypeError naming it, not an
+    AttributeError or a TypeError from inside the package, and before
+    anything is written."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(TypeError) as exc:
+        call(str(path))
+    assert str(exc.value) == message
+    assert not path.exists()
 
 
 def package_imports() -> dict[str, set[str]]:
@@ -149,6 +176,9 @@ def test_load_rejects_non_numeric_and_nan(tmp_path):
         load_trace(path)
     path = write(tmp_path, "time,x\n0.0,\n", name="t3.csv")
     with pytest.raises(TraceError, match="non-numeric value"):
+        load_trace(path)
+    path = write(tmp_path, "time,x\nnan,oops\n", name="t4.csv")  # a time numeral is Trace's to refuse
+    with pytest.raises(TraceError, match="^non-numeric value 'oops' at row 0, column 'x'$"):
         load_trace(path)
 
 
