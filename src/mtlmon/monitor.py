@@ -22,10 +22,11 @@ predicted values never survive into the past.
 
 Each step:
 
-1. check that the sample and the predictions give every variable the
-   formula reads a finite real value (semantics.sample_value's rule and
-   errors, which the oracle shares); nothing changes before this passes,
-   so a rejected step leaves the monitor exactly as it was,
+1. build the frontier, the sample followed by the predictions, once, and
+   read every variable the formula reads over it, checking that each
+   value is a finite real (semantics.sample_value's rule and errors, which
+   the oracle shares); nothing changes before this passes, so a rejected
+   step leaves the monitor exactly as it was,
 2. shift the whole table one column to the left, dropping the oldest
    column,
 3. recompute the columns [-horizon(k), horizon] of every row k bottom-up
@@ -33,6 +34,17 @@ Each step:
    unbounded since reads its own row, the column left of the one it
    writes,
 4. return the root row at column 0.
+
+The frontier is read one of two ways, to the same floats.  A formula
+with a horizon, whose atom rows are on numpy, reads a frontier whose
+samples are all rows of one loaded trace through RowValues.columns: one
+numpy gather from the trace's buffer gives each variable as a float64
+array, checked by np.isfinite, and the atom rows take the arrays as they
+are.  Any other frontier, and every frontier of a formula without a
+horizon, is read one lookup per variable and sample: two C-level scans
+pass a frontier of finite floats, any other is read again through
+semantics.sample_value, which raises for a bad value, and a formula with
+a horizon turns the result into arrays.
 
 Every row is written each step.  A [0,0] window compiles to its trigger
 (see formula.py), so no node needs more history than the root, and every
@@ -101,6 +113,7 @@ from .semantics import (
     Predicate,
     PredicateError,
     Rho,
+    RowValues,
     StateSample,
     checked_index,
     node_index,
@@ -142,8 +155,9 @@ class Monitor:
     (0 without until); it never grows with the stream.  Column j of row k
     is table[k, j + history + 1].  A table larger than physical memory is
     refused with MemoryError before anything is allocated.  A formula that
-    is not a compiled Formula raises TypeError, and an atom that is unbound
-    or bound to anything but a Predicate PredicateError.
+    is not a compiled Formula, or predicates that are not a mapping, raise
+    TypeError, and an atom that is unbound or bound to anything but a
+    Predicate PredicateError.
     step() is single-writer: do not call it concurrently on the same
     instance.  Independent monitors are fully isolated.
     """
@@ -151,6 +165,8 @@ class Monitor:
     def __init__(self, formula: Formula, predicates: Mapping[str, Predicate]):
         if not isinstance(formula, Formula):
             raise TypeError(f"formula must be a compiled Formula, got {formula!r}")
+        if not isinstance(predicates, Mapping):
+            raise TypeError(f"predicates must be a mapping of atom name to Predicate, got {predicates!r}")
         missing = sorted(formula.atom_names - set(predicates))
         if missing:
             raise PredicateError("unbound atoms: " + ", ".join(missing))
@@ -172,7 +188,7 @@ class Monitor:
             )
         self.table = np.full(shape, NEG_INF)
         self.i = 0
-        self._values: dict[str, list[float]] = {}
+        self._values: dict[str, Sequence[float]] = {}
         self._rows = [self._plan(node, predicates) for node in formula.nodes]
         self._variables = sorted({r.pred.variable for r in self._rows if r.kind == ATOM})
 
@@ -198,15 +214,15 @@ class Monitor:
         horizon raises ValueError, and a bad value as semantics.sample_value
         does.  A refused step leaves the monitor unchanged."""
         try:
-            predictions = list(predictions)
+            frontier = [sample, *predictions]
         except TypeError:
             raise TypeError(f"predictions must be an iterable of StateSample, got {predictions!r}") from None
-        if len(predictions) != self.horizon:
+        if len(frontier) != self.horizon + 1:
             raise ValueError(
                 f"prediction length mismatch: formula horizon is {self.horizon}, "
-                f"got {len(predictions)} samples"
+                f"got {len(frontier) - 1} samples"
             )
-        values = self._checked_values([sample, *predictions])
+        values = self._checked_values(frontier)
         # nothing above changes the monitor, so a rejected step leaves it as it was
         self.i += 1
         self._values = values
@@ -251,9 +267,9 @@ class Monitor:
             return
         a, e = jlo + off, self.horizon + off + 1  # the pad right of the horizon is never written
         if row.kind == ATOM:
-            xs = np.array(self._values[row.pred.variable], dtype=float)
+            xs = self._values[row.pred.variable]  # an array, or a one-value list for a formula without a horizon
             with np.errstate(over="ignore"):  # overflow to +-inf, silently as in cr()
-                d = np.minimum(xs - row.pred.lo, row.pred.hi - xs, out=T[k, a:e])
+                d = np.minimum(np.subtract(xs, row.pred.lo), np.subtract(row.pred.hi, xs), out=T[k, a:e])
                 if row.pred.gain != 1.0:
                     d *= row.pred.gain
         elif row.kind == TRUE:
@@ -302,7 +318,7 @@ class Monitor:
         if row.kind == TRUE:
             return POS_INF
         if row.kind == ATOM:
-            return row.pred.distance(self._values[row.pred.variable][j]) if j >= 0 else float(T[k, a])
+            return row.pred.distance(float(self._values[row.pred.variable][j])) if j >= 0 else float(T[k, a])
         if row.kind == NOT:
             return -float(T[row.left, a])
         if row.kind == OR:
@@ -314,11 +330,15 @@ class Monitor:
             return max(value, min(float(T[k, a - 1]), float(T[row.left, a])))
         return value
 
-    def _checked_values(self, frontier: Sequence[StateSample]) -> dict[str, list[float]]:
-        """Each variable the formula reads, over the frontier.  Rejects a
-        step whose frontier holds an object that is not a StateSample, or
-        samples that lack such a variable or give it a value that is not a
-        finite real number, as semantics.sample_value does."""
+    def _checked_values(self, frontier: list[StateSample]) -> dict[str, Sequence[float]]:
+        """Each variable the formula reads, over the frontier: a float64
+        array when the formula has a horizon, whose atom rows are on numpy,
+        a list otherwise.  Rejects a step whose frontier holds an object
+        that is not a StateSample, or samples that lack such a variable or
+        give it a value that is not a finite real number, as
+        semantics.sample_value does."""
+        if self.horizon and (columns := RowValues.columns(frontier, self._variables)) is not None:
+            return columns
         values = {}
         for var in self._variables:
             try:
@@ -329,7 +349,7 @@ class Monitor:
             # two C-level scans pass a frontier of finite floats; any other
             # is read again through sample_value, which raises for a bad one
             values[var] = xs if fast else [sample_value(s, var) for s in frontier]
-        return values
+        return {var: np.array(xs, dtype=float) for var, xs in values.items()} if self.horizon else values
 
 
 def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int) -> np.ndarray:

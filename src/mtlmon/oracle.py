@@ -102,7 +102,11 @@ def _eval(
     The calls of one such function share one memo per (subformula, step).
     The node and each step follow semantics.checked_index: one outside the
     formula or the trace raises IndexError, one that is not an integer
-    TypeError, as does a trace that is not a Trace."""
+    TypeError, as do a formula, predicates or trace of the wrong type."""
+    if not isinstance(formula, Formula):
+        raise TypeError(f"formula must be a compiled Formula, got {formula!r}")
+    if not isinstance(predicates, Mapping):
+        raise TypeError(f"predicates must be a mapping of atom name to Predicate, got {predicates!r}")
     if not isinstance(trace, Trace):
         raise TypeError(f"trace must be a Trace, got {trace!r}")
     nodes, samples = formula.nodes, trace.samples

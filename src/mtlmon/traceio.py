@@ -17,12 +17,11 @@ it with the message a hand-built trace gets.
 
 A loaded trace holds every variable value in one float64 ``array``, row
 after row in header order, 8 bytes per cell.  Each sample's ``values``
-is a read-only `RowValues` view into it: the shared name-to-column dict,
-the buffer and the row's offset, about 150 bytes per row with the
-sample itself, where a dict of floats per sample cost about 3 KB for 64
-variables.  A lookup is one Python-level call that returns a fresh float:
-about 0.17 us against a dict's 0.04 us (Python 3.11, 2-CPU Intel Xeon),
-so a step costs that much more per variable and frontier sample.
+is a read-only `semantics.RowValues` view into it: the trace's one
+(name-to-column dict, buffer) pair and the row's offset, about 150 bytes
+per row with the sample itself, where a dict of floats per sample cost
+about 3 KB for 64 variables.  `mtlmon.semantics` gives what one lookup costs
+and how `Monitor.step` reads a frontier of such rows.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ import math
 import string
 from array import array
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 from . import semantics
-from .semantics import Rho, StateSample, Trace, TraceError, checked_index, finite_real, not_utf8
+from .semantics import Rho, RowValues, StateSample, Trace, TraceError, checked_index, finite_real, not_utf8
 
 
 class TraceExhausted(TraceError):
@@ -52,32 +51,6 @@ class PredictorMode(Enum):
     HOLD = "hold"        # repeat the current sample (zero-order hold)
     PERFECT = "perfect"  # read the actual future from the loaded trace
     NONE = "none"        # no predictions; only valid for zero-horizon formulas
-
-
-class RowValues(Mapping[str, float]):
-    """One loaded row's variable values: a read-only mapping of column
-    name to value, viewed in the trace's shared float64 buffer.  It equals
-    the dict of the same items, iterates in header order and gives plain
-    floats."""
-
-    __slots__ = ("_index", "_data", "_base")
-
-    def __init__(self, index: dict[str, int], data: array, base: int):
-        self._index = index  # column name -> position within a row
-        self._data = data
-        self._base = base
-
-    def __getitem__(self, key: str) -> float:
-        return self._data[self._base + self._index[key]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
 
 
 def load_trace(path: str) -> Trace:
@@ -105,8 +78,8 @@ def _read_samples(path: str) -> tuple[tuple[str, ...], list[StateSample]]:
         if len(set(header)) != len(header):
             name = next(name for k, name in enumerate(header) if name in header[:k])
             raise TraceError(f"duplicate column {name!r} in header")
-        index = {name: k for k, name in enumerate(header[1:])}
         data = array("d")
+        buffer = ({name: k for k, name in enumerate(header[1:])}, data)
         samples = []
         for ridx, row in enumerate(reader):
             if len(row) != len(header):
@@ -120,9 +93,9 @@ def _read_samples(path: str) -> tuple[tuple[str, ...], list[StateSample]]:
                 raise _bad_cell(ridx, header, row) from None
             if not all(map(math.isfinite, parsed)) and (error := _bad_cell(ridx, header, row)):
                 raise error
-            samples.append(StateSample(RowValues(index, data, len(data)), parsed[0]))
+            samples.append(StateSample(RowValues(buffer, len(data)), parsed[0]))
             data.extend(parsed[1:])
-    return tuple(index), samples
+    return tuple(header[1:]), samples
 
 
 def _bad_cell(ridx: int, header: list[str], row: list[str]) -> TraceError | None:
@@ -156,7 +129,10 @@ def check_predictor(mode: PredictorMode | str, horizon: int) -> PredictorMode:
 def predict(mode: PredictorMode | str, trace: Trace, i: int, horizon: int) -> list[StateSample]:
     """Future samples for step i: held, looked up, or none at all.  mode is
     a PredictorMode or its value, as for check_predictor, and i and
-    horizon follow semantics.checked_index: 0 <= i < len(trace), horizon >= 0."""
+    horizon follow semantics.checked_index: 0 <= i < len(trace), horizon >= 0.
+    A trace that is not a Trace raises TypeError."""
+    if not isinstance(trace, Trace):
+        raise TypeError(f"trace must be a Trace, got {trace!r}")
     i = checked_index(i, "step", 0, len(trace) - 1)
     mode = check_predictor(mode, checked_index(horizon, "horizon", 0, math.inf))
     if mode is PredictorMode.NONE:

@@ -2,10 +2,11 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
@@ -15,12 +16,15 @@ from mtlmon import (
     PredicateError,
     StateSample,
     compile_formula,
+    load_trace,
     offline_robustness,
     offline_robustness_series,
+    predict,
 )
 from mtlmon import monitor as monitor_module
 from mtlmon.formula import ATOM, SINCE, UNTIL, CoreNode, Formula, Interval
 from mtlmon.oracle import Trace
+from mtlmon.semantics import RowValues
 
 from helpers import (
     BAD_VALUES,
@@ -533,6 +537,107 @@ def test_numpy_atom_row_overflows_to_inf_silently(pred):
 def test_step_ignores_variables_the_formula_does_not_read():
     mon = Monitor(compile_formula("p"), X_GE_0)
     assert mon.step(StateSample({"x": 2.0, "unused": math.nan})) == 2.0
+
+
+def loaded_copy(directory, trace, name="trace.csv"):
+    """The trace written to a CSV file and loaded back: each sample's values
+    become a row of one shared buffer, with the same floats."""
+    names = list(trace.samples[0].values)
+    path = directory / name
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(["time", *names]) + "\n")
+        for s in trace.samples:
+            fh.write(",".join(map(repr, [s.time, *(s.values[n] for n in names)])) + "\n")
+    return load_trace(str(path))
+
+
+def dict_copy(sample):
+    return StateSample(dict(sample.values), sample.time)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["hold", "perfect"]))
+def test_loaded_and_dict_frontiers_step_alike(tmp_path, seed, mode):
+    """A monitor read through the loaded rows' bulk reader and one fed dict
+    copies of the same samples give equal verdicts and bit-identical tables
+    after every step, warm-up included."""
+    rng = random.Random(seed)
+    f = compile_formula(random_core_text(rng, max_depth=3, max_bound=6))
+    while not 0 < f.horizon <= 20:
+        f = compile_formula(random_core_text(rng, max_depth=3, max_bound=6))
+    preds = random_predicates(rng, f.atom_names)
+    trace = random_trace(rng, sorted({p.variable for p in preds.values()}), f.horizon + rng.randint(1, 15))
+    loaded = loaded_copy(tmp_path, trace)
+    dicts = Trace(tuple(map(dict_copy, loaded.samples)), loaded.delta_t)
+    bulk, lookup = Monitor(f, preds), Monitor(f, preds)
+    steps = len(trace) - (f.horizon if mode == "perfect" else 0)
+    for i in range(steps):
+        ahead = predict(mode, loaded, i, f.horizon)
+        assert RowValues.columns([loaded.samples[i], *ahead], bulk._variables) is not None
+        got = bulk.step(loaded.samples[i], ahead)
+        assert got == lookup.step(dicts.samples[i], predict(mode, dicts, i, f.horizon))
+        assert bulk.table.tobytes() == lookup.table.tobytes()
+
+
+def mixed_frontier(loaded, other, dicts):
+    """A loaded row, then a dict sample, then loaded rows."""
+    return [loaded.samples[0], dicts.samples[1], *loaded.samples[2:4]]
+
+
+def two_trace_frontier(loaded, other, dicts):
+    """Rows of two loaded traces: their buffers differ."""
+    return [loaded.samples[0], other.samples[1], *loaded.samples[2:4]]
+
+
+@pytest.mark.parametrize("frontier", [mixed_frontier, two_trace_frontier])
+def test_frontiers_the_bulk_reader_passes_over_read_alike(tmp_path, frontier):
+    """A frontier that is not all rows of one buffer is read one lookup at a
+    time: the monitor steps as on dict samples, and a bad value in it is
+    refused with sample_value's message, leaving the monitor unchanged."""
+    f = compile_formula("a until[0,3] b")
+    preds = {"a": Predicate("a", "x", lo=0.0), "b": Predicate("b", "y", hi=1.0)}
+    trace = random_trace(random.Random(5), ["x", "y"], 6)
+    loaded = loaded_copy(tmp_path, trace)
+    other = loaded_copy(tmp_path, random_trace(random.Random(7), ["x", "y"], 6), "other.csv")
+    dicts = Trace(tuple(map(dict_copy, loaded.samples)), loaded.delta_t)
+    mixed = frontier(loaded, other, dicts)
+    assert RowValues.columns(mixed, ["x", "y"]) is None
+    mon, ref = Monitor(f, preds), Monitor(f, preds)
+    copies = list(map(dict_copy, mixed))
+    assert mon.step(mixed[0], mixed[1:]) == ref.step(copies[0], copies[1:])
+    assert mon.table.tobytes() == ref.table.tobytes()
+    before = (mon.table.tobytes(), mon.i)
+    bad = [*mixed[:3], StateSample({"x": math.nan, "y": 0.0}, 0.3)]
+    with pytest.raises(ValueError, match=re.escape("value nan of variable 'x' in sample at t=0.3 is not")):
+        mon.step(bad[0], bad[1:])
+    assert (mon.table.tobytes(), mon.i) == before
+
+
+def test_loaded_rows_without_a_variable_give_the_one_key_error(tmp_path):
+    """Rows of one buffer that lack a variable the formula reads fall back to
+    the per-lookup read, which raises the one KeyError message."""
+    f = compile_formula("eventually[0,2] (p or q)")
+    preds = {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)}
+    loaded = loaded_copy(tmp_path, random_trace(random.Random(6), ["x"], 5))
+    mon = Monitor(f, preds)
+    mon.step(StateSample({"x": 1.0, "y": 2.0}, 0.0), [StateSample({"x": 1.0, "y": 2.0}, 0.1)] * 2)
+    before = (mon.table.tobytes(), mon.i)
+    assert RowValues.columns(loaded.samples[1:4], mon._variables) is None
+    with pytest.raises(KeyError) as exc:
+        mon.step(loaded.samples[1], loaded.samples[2:4])
+    assert exc.value.args == ("unknown variable 'y' in sample at t=0.1",)
+    assert (mon.table.tobytes(), mon.i) == before
+
+
+def test_bulk_reader_passes_over_a_row_that_is_not_finite():
+    """A row view whose buffer holds a value that is not finite is refused
+    by the per-lookup read, with its message."""
+    row = StateSample(RowValues(({"x": 0}, array("d", [math.inf, 1.0])), 0), 0.0)
+    assert RowValues.columns([row], ["x"]) is None
+    mon = Monitor(compile_formula("eventually[0,1] p"), X_GE_0)
+    with pytest.raises(ValueError, match="^value inf of variable 'x' in sample at t=0.0 is not a finite real number$"):
+        mon.step(row, [row])
+    assert mon.i == 0 and (mon.table == -INF).all()
 
 
 def held_prefix(trace, i, horizon):

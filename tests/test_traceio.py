@@ -86,8 +86,38 @@ def test_trace_checks_raise_one_trace_error(tmp_path, times, delta_t, csv_body, 
             "trace must be a Trace, got None",
         ),
         (lambda path: write_robustness_csv(path, 5), "rows must be an iterable of (step, time, robustness), got 5"),
+        (
+            lambda path: Monitor(compile_formula("p"), None),
+            "predicates must be a mapping of atom name to Predicate, got None",
+        ),
+        (lambda path: predict("hold", None, 0, 1), "trace must be a Trace, got None"),
+        (lambda path: Trace(None), "samples must be a sequence of StateSample, got None"),
+        (
+            lambda path: offline_robustness(None, {"p": Predicate("p", "x", lo=0.0)}, fixed_trace([1.0]), 0),
+            "formula must be a compiled Formula, got None",
+        ),
+        (
+            lambda path: offline_robustness(compile_formula("p"), None, fixed_trace([1.0]), 0),
+            "predicates must be a mapping of atom name to Predicate, got None",
+        ),
+        (
+            lambda path: Monitor(compile_formula("eventually[0,1] p"), {"p": Predicate("p", "x", lo=0.0)}).step(
+                StateSample(None), [StateSample({"x": 1.0})]
+            ),
+            "sample values must be a mapping, got None",
+        ),
+        (
+            lambda path: offline_robustness(
+                compile_formula("p"), {"p": Predicate("p", "x", lo=0.0)}, Trace((StateSample([1.0]),)), 0
+            ),
+            "sample values must be a mapping, got [1.0]",
+        ),
     ],
-    ids=["Trace-samples", "desugar-tree", "offline_robustness-trace", "write_robustness_csv-rows"],
+    ids=[
+        "Trace-samples", "desugar-tree", "offline_robustness-trace", "write_robustness_csv-rows",
+        "Monitor-predicates", "predict-trace", "Trace-None", "offline_robustness-formula",
+        "offline_robustness-predicates", "Monitor.step-sample-values", "offline_robustness-sample-values",
+    ],
 )
 def test_entry_points_name_an_argument_of_the_wrong_type(tmp_path, call, message):
     """An argument of the wrong type raises TypeError naming it, not an
@@ -141,11 +171,21 @@ def test_every_source_file_parses_as_python_3_10():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
-def test_trace_and_trace_error_are_defined_once():
+def test_trace_and_trace_error_are_defined_once(tmp_path):
     assert Trace.__module__ == TraceError.__module__ == "mtlmon.semantics"
     assert mtlmon.semantics.Trace is mtlmon.oracle.Trace is Trace
     assert mtlmon.semantics.TraceError is mtlmon.traceio.TraceError is TraceError
     assert issubclass(TraceError, ValueError) and issubclass(TraceExhausted, TraceError)
+    # the loaded row view lives beside the samples it serves, where the monitor may import it
+    defined = {
+        path.stem
+        for path in Path(mtlmon.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == "RowValues"
+    }
+    assert defined == {"semantics"}
+    assert mtlmon.traceio.RowValues is mtlmon.monitor.RowValues is mtlmon.semantics.RowValues
+    assert type(load_trace(write(tmp_path, "time,x\n0.0,1.0\n")).samples[0].values) is mtlmon.semantics.RowValues
 
 
 def test_load_rejects_non_uniform(tmp_path):
