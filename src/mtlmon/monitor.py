@@ -14,11 +14,20 @@ widened by the horizon, see Formula.history.
 
 The table is updated incrementally.  A cell of row k at column j depends
 on samples up to absolute time i+j+horizon(k), where horizon(k) is the
-subformula's own future reach.  Left of column -horizon(k) that is at
-most i-1, so the cell read only actual samples and equals the previous
-step's column j+1: shifting carries it over unchanged.  Every cell that
-read a predicted sample lies at j >= -horizon(k) and is recomputed, so
-predicted values never survive into the past.
+subformula's own future reach, that is on frontier columns up to
+j+horizon(k).  Each step finds new, the first frontier column whose
+values are not, bit for bit, those the previous step read at the same
+absolute time (so 0.0 and -0.0 differ): the horizon column always, and
+column 0 on the first step, without a horizon, or when any variable's
+value changed at column 0.  A cell left of column new-horizon(k) read no
+new value, so it equals the previous step's column j+1: shifting carries
+it over unchanged.  Left of -horizon(k) that holds for any predictions,
+since those cells read only actual samples.  Every other cell is
+recomputed, so a value computed from a prediction survives only while
+that prediction repeats, and a prediction that changed, or an actual
+sample that differs from it, never survives into the past.  Perfect
+predictions, those of a recorded trace, repeat at every column but the
+horizon; held ones repeat only when every variable's sample does.
 
 Each step:
 
@@ -27,9 +36,9 @@ Each step:
    value is a finite real (semantics.sample_value's rule and errors, which
    the oracle shares); nothing changes before this passes, so a rejected
    step leaves the monitor exactly as it was,
-2. shift the whole table one column to the left, dropping the oldest
-   column,
-3. recompute the columns [-horizon(k), horizon] of every row k bottom-up
+2. shift the whole window one column to the left, dropping the oldest
+   column; the horizon column keeps its old value until step 3,
+3. recompute the columns [new-horizon(k), horizon] of every row k bottom-up
    (operands live at larger indices) and left to right: only an
    unbounded since reads its own row, the column left of the one it
    writes,
@@ -46,16 +55,17 @@ pass a frontier of finite floats, any other is read again through
 semantics.sample_value, which raises for a bad value, and a formula with
 a horizon turns the result into arrays.
 
-Every row is written each step.  A [0,0] window compiles to its trigger
-(see formula.py), so no node needs more history than the root, and every
-row maintains the columns -horizon(k) to horizon that step 3 recomputes.
+Every row is written each step, its horizon column at least.  A [0,0]
+window compiles to its trigger (see formula.py), so no node needs more
+history than the root, and every row maintains the columns from
+-horizon(k), the leftmost that step 3 can recompute, to horizon.
 
 The table starts at -inf, and two kinds of cell are never written.
 Cells whose absolute time i+j is negative: the update starts at column
 -i or later, and the shift keeps every cell at its absolute time, so it
 only moves such cells into columns that are before the stream too.  And
-the pad: every write stops at the horizon column, and the shift does not
-reach past column 0.  Every read before the stream start or past the
+the pad: every write stops at the horizon column, and the shift reads
+no column past it.  Every read before the stream start or past the
 horizon therefore yields -inf, which is already the right value at both
 ends.  A trigger read there makes its disjunct vanish (that window
 position does not exist, or lies beyond the predictions), a left-operand
@@ -67,13 +77,15 @@ rows pass plain table slices to one windowed kernel.
 
 A row is filled either through numpy over whole slices or one cell at a
 time by cr(), the paper's per-cell recurrence.  An atom, not, or or true
-row takes numpy exactly when a steady step recomputes more than one of
-its cells, which is when the formula has a horizon: one numpy call costs
-more than one cr() cell, but less than the 11 or more cells such a row
-recomputes in the future-looking benchmark workloads.  An until or
-bounded since row takes numpy when the table width (history + 1 +
-horizon columns, not the row's recomputed cells) times its window
-(up - lo + 1 offsets) is at least _VECTOR_CELLS.  So a past-only row
+row takes numpy exactly when a steady step can recompute more than one
+of its cells, which is when the formula has a horizon: one numpy call
+costs more than one cr() cell, but less than the 11 or more cells such a
+row recomputes under the held predictions of the mixed-hold benchmark
+workload.  Under perfect predictions such a row recomputes its horizon
+column alone, one cell through numpy.  An until or bounded since row
+takes numpy when the table width (history + 1 + horizon columns, not
+the row's recomputed cells) times its window (up - lo + 1 offsets) is
+at least _VECTOR_CELLS.  So a past-only row
 that recomputes one cell a step still takes numpy when the formula's
 history is long, as the since[0,100] and since[0,200] rows of the
 past-settle benchmark and the rows of the case study's pt variant
@@ -82,18 +94,20 @@ on both paths (Monitor._window: forward for until, mirrored in time for
 since), and the two produce bit-identical results (min/max select, they
 never round).  An unbounded since always takes cr(): its running value
 is the cell it wrote one column to the left.
-Row k costs (horizon(k) + horizon + 1) cells per step, each linear in
-the row's window: quadratic in the window for future rows (template E's
-root spans [-H, H]), linear for past-only specifications, whose rows
-recompute one cell each.  The until/since kernel (_max_min_window)
-builds the running minima of a block of cells, one row per window
-offset, takes the disjuncts' minima in place and reduces each column;
-the w = 0 disjunct of a [0, b] window needs no running minimum and is
+Row k recomputes horizon + 1 - new + horizon(k) cells per step, at most
+horizon(k) + horizon + 1, each linear in the row's window: quadratic in
+the window for future rows (template E's root spans [-H, H], and
+[0, H] under perfect predictions), linear for past-only specifications,
+whose rows recompute one cell each.  The until/since kernel
+(_max_min_window) builds the running minima of a block of cells, one
+row per window offset, takes the disjuncts' minima in place and reduces
+each column; the w = 0 disjunct of a [0, b] window needs no running minimum and is
 folded into the results afterwards.  A steady template-E step at H = 500
-computes 500 rows of 1001 doubles, each one elementwise minimum of the
-row above and a shifted operand slice, but holds only 32 of them at a
-time: each chunk of rows is reduced into the results while it is still
-in cache, and the next chunk continues from its last row.
+under perfect predictions computes 500 rows of 501 doubles (1001 under
+held ones), each one elementwise minimum of the row above and a shifted
+operand slice, but holds only 65 of them (32 of 1001) at a time: each
+chunk of rows is reduced into the results while it is still in cache,
+and the next chunk continues from its last row.
 """
 
 from __future__ import annotations
@@ -223,15 +237,32 @@ class Monitor:
                 f"got {len(frontier) - 1} samples"
             )
         values = self._checked_values(frontier)
+        new = self._first_new(values)
         # nothing above changes the monitor, so a rejected step leaves it as it was
         self.i += 1
         self._values = values
         T = self.table
-        off = self.history + 1
-        T[:, :off] = T[:, 1 : off + 1]
+        T[:, : self.width] = T[:, 1 : self.width + 1]
         for k in range(len(self._rows) - 1, -1, -1):
-            self._fill_row(k)
-        return float(T[0, off])
+            self._fill_row(k, new)
+        return float(T[0, self.history + 1])
+
+    def _first_new(self, values: dict[str, Sequence[float]]) -> int:
+        """First frontier column that is new: not, bit for bit, what the
+        previous step read at the same absolute time, for every variable
+        (so 0.0 and -0.0 differ).  The horizon column is always new, and
+        every column is on the first step."""
+        if not (self.i and self.horizon):
+            return 0
+        new = self.horizon
+        for var, xs in values.items():
+            prev = self._values[var]
+            if xs[0] != prev[1]:  # held predictions of a changed sample stop here
+                return 0
+            diff = xs[:new].view(np.uint64) != prev[1 : new + 1].view(np.uint64)
+            if diff.any():
+                new = int(diff.argmax())
+        return new
 
     def cell(self, k: int, j: int) -> Rho | None:
         """Stored value of subformula k at column j, or None before the
@@ -254,11 +285,11 @@ class Monitor:
     # ------------------------------------------------------------------
     # Row updates
 
-    def _fill_row(self, k: int) -> None:
+    def _fill_row(self, k: int, new: int) -> None:
         row = self._rows[k]
-        # columns left of -row.horizon read only actual samples, so the
-        # shift has already put their final values there
-        jlo = max(row.start, 1 - self.i, -row.horizon)
+        # columns left of new - row.horizon read no new frontier value, so
+        # the shift has already put their values there
+        jlo = max(row.start, 1 - self.i, new - row.horizon)
         T = self.table
         off = self.history + 1
         if not row.vector:
@@ -267,7 +298,7 @@ class Monitor:
             return
         a, e = jlo + off, self.horizon + off + 1  # the pad right of the horizon is never written
         if row.kind == ATOM:
-            xs = self._values[row.pred.variable]  # an array, or a one-value list for a formula without a horizon
+            xs = self._values[row.pred.variable][jlo:]  # an array, or a one-value list without a horizon
             with np.errstate(over="ignore"):  # overflow to +-inf, silently as in cr()
                 d = np.minimum(np.subtract(xs, row.pred.lo), np.subtract(row.pred.hi, xs), out=T[k, a:e])
                 if row.pred.gain != 1.0:
@@ -371,11 +402,11 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     elements, where np.minimum.accumulate along a window waits on each
     element for the one before it.  That row loop costs one ufunc call per
     window offset, so it runs only on a block at least as wide (cells) as
-    it is tall (offsets), such as template E's steady until row, 1001
-    cells x 500 offsets.  A taller block keeps accumulate, one call per
-    block: the one-cell bounded since rows of past-only specifications,
-    and every block of a window above 1024 offsets, where _BLOCK // up
-    cells are fewer than up.
+    it is tall (offsets), such as template E's steady until row, 501
+    cells x 500 offsets under perfect predictions, 1001 under held ones.
+    A taller block keeps accumulate, one call per block: the one-cell
+    bounded since rows of past-only specifications, and every block of a
+    window above 1024 offsets, where _BLOCK // up cells are fewer than up.
 
     The disjuncts w >= max(lo, 1) are taken in place in c, then reduced
     along each column.  For lo = 0 the w = 0 disjunct is min(+inf, en[r])
@@ -390,13 +421,13 @@ def _max_min_window(em: np.ndarray, en: np.ndarray, lo: int, up: int, count: int
     first.  Each chunk's disjuncts are reduced into the block's outputs
     before the next chunk overwrites the buffer, so _CHUNK bounds the
     wide branch's scratch memory and keeps it in cache between the row
-    loop and the reduction.  On template E's steady shape (1001 cells x 500
-    offsets, lo = 0; 2-CPU Xeon with 2 MB of L2 per core, numpy 2.4.6),
-    three sweeps read per call, against 1381-1760 us for the whole block:
-    8K elements (h = 8) 1502-2159 us, 16K 1175-1852, 32K (h = 32, 256 KB)
-    994-1584, 64K 1076-1647 and 128K 1272-1538.  32K was the fastest of
-    each sweep, and its traced peak was 0.34 MB against the whole block's
-    4.08 MB.
+    loop and the reduction.  On template E's steady shape under held
+    predictions (1001 cells x 500 offsets, lo = 0; 2-CPU Xeon with 2 MB
+    of L2 per core, numpy 2.4.6), three sweeps read per call, against
+    1381-1760 us for the whole block: 8K elements (h = 8) 1502-2159 us,
+    16K 1175-1852, 32K (h = 32, 256 KB) 994-1584, 64K 1076-1647 and 128K
+    1272-1538.  32K was the fastest of each sweep, and its traced peak
+    was 0.34 MB against the whole block's 4.08 MB.
 
     Cells are processed in blocks of _BLOCK // up cells, at most _BLOCK
     elements.  Up to 1024 offsets such a block is at least as wide as it

@@ -226,13 +226,19 @@ def write_robustness_csv(path: str, rows: Iterable[tuple[int, float, Rho]]) -> t
     arrives, so an iterator of rows is never held whole; a run that stops
     early leaves the rows written so far.  Returns how many rows were
     written and their least robustness, (0, inf) for none.  rows that are
-    not iterable raise TypeError before the file is opened."""
+    not iterable raise TypeError before the file is opened; a row that is
+    not such a triple raises TypeError when it arrives, and since rows are
+    streamed, the header and the rows before it stay written."""
     if not isinstance(rows, Iterable):
         raise TypeError(f"rows must be an iterable of (step, time, robustness), got {rows!r}")
     count, worst = 0, math.inf
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,time,robustness\n")
-        for count, (step, time, value) in enumerate(rows, 1):
+        for count, row in enumerate(rows, 1):
+            try:  # around the unpacking alone: an error raised by the rows iterator passes through
+                step, time, value = row
+            except (TypeError, ValueError):
+                raise TypeError(f"rows[{count - 1}] must be a (step, time, robustness) triple, got {row!r}") from None
             fh.write(f"{step},{time!r},{value!r}\n")
             worst = min(worst, value)
     return count, worst

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
 from mtlmon import (
     Monitor,
@@ -397,8 +397,9 @@ def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
 
 
 def test_wide_until_step_holds_one_chunk_of_running_minima():
-    # template E at H = 500: a steady step recomputes 1001 until cells over
-    # 500 offsets, a 4 MB block of running minima if it were held at once
+    # template E at H = 500 under perfect predictions: a steady step
+    # recomputes 501 until cells over 500 offsets, a 2 MB block of running
+    # minima if it were held at once
     f = compile_formula("p0 -> eventually[0,500] p1")
     preds = {p: Predicate(p, p, lo=-5.0, hi=5.0) for p in ("p0", "p1")}
     rng = random.Random(11)
@@ -718,13 +719,88 @@ def test_root_column_minus_horizon_is_the_settled_verdict(mode):
     assert settled > 1000
 
 
+def exactly(got, want):
+    """Equal, and of the same sign where both are zero: == cannot tell 0.0
+    from -0.0, and a cell carried over past a sample that changed only the
+    sign of a zero differs from the reference in nothing else."""
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def assert_cells_match(mon, f, preds, trace, i):
+    """Every defined cell after the step for step i equals the reference
+    for its subformula at step i + j, on the trace the monitor was fed."""
+    for k in range(len(f.nodes)):
+        series = offline_robustness_series(f, preds, trace, node=k)
+        for j in range(-f.history, f.horizon + 1):
+            got = mon.cell(k, j)
+            assert got is None or exactly(got, series[i + j]), (k, j, got, series[i + j])
+
+
+@pytest.mark.parametrize("path", ["cr", "numpy"])
+def test_held_zero_that_changes_sign_is_new(path):
+    """x = 0.0 then x = -0.0 under held predictions: equal values, other
+    bits.  The second verdict reads -0.0 everywhere, as the reference
+    does; a cell kept from the 0.0 step would turn it into 0.0."""
+    f = compile_formula("eventually[0,2] p")
+    mon = monitor_on(path, f, X_GE_0)
+    samples = [x_sample(0.0), x_sample(-0.0, 0.1)]
+    for i, sample in enumerate(samples):
+        out = mon.step(sample, [sample] * f.horizon)
+        held = held_prefix(Trace(tuple(samples[: i + 1]), 0.1), i, f.horizon)
+        assert exactly(out, offline_robustness(f, X_GE_0, held, i))
+    assert math.copysign(1.0, out) == -1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_revised_forecasts_match_reference_on_what_was_fed(seed):
+    """A forecaster keeps its forecast up to some column k and revises the
+    rest, k drawn anew each step; the next actual sample is either last
+    step's forecast for it or a surprise.  So from one step to the next
+    the frontier repeats, bit for bit, on a prefix of any length.  Now and
+    then the stream stalls instead: the sample comes again and the whole
+    forecast moves one column later, which repeats last step's frontier
+    one column off, and nothing of it at the same time.  Every defined
+    cell equals the reference on the samples fed so far followed by the
+    current predictions, warm-up steps included."""
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(25):
+        f = compile_formula(random_core_text(rng, max_depth=3, max_bound=4))
+        if not f.atom_names or not 0 < f.horizon <= 8:
+            continue
+        preds = random_predicates(rng, f.atom_names)
+        variables = sorted({p.variable for p in preds.values()})
+
+        def fresh(t):
+            return StateSample({v: rng.uniform(-10, 10) for v in variables}, t)
+
+        for path in ("cr", "numpy"):
+            mon = monitor_on(path, f, preds)
+            actual, frontier = [], [fresh(0.1 * c) for c in range(f.horizon + 1)]
+            for i in range(rng.randint(f.history + 2, f.history + 12)):
+                if i and rng.random() < 0.2:  # a stall
+                    moved = frontier[:1] + frontier[:-1]
+                    frontier = [StateSample(s.values, 0.1 * (i + c)) for c, s in enumerate(moved)]
+                elif i:
+                    keep = rng.randint(0, f.horizon)  # columns 0..keep-1 repeat last step's forecast
+                    frontier = frontier[1 : keep + 1] + [fresh(0.1 * (i + c)) for c in range(keep, f.horizon + 1)]
+                mon.step(frontier[0], frontier[1:])
+                actual.append(frontier[0])
+                assert_cells_match(mon, f, preds, Trace(tuple(actual + frontier[1:]), 0.1), i)
+                checked += 1
+    assert checked > 100
+
+
 VALUES = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
 
 
 class InterleavedSteps(RuleBasedStateMachine):
     """Valid steps mixed with rejected ones under held predictions: every
-    output equals the reference on the valid steps alone, and a rejected
-    step leaves the table and the step counter as they were."""
+    defined cell equals the reference on the valid steps alone, and a
+    rejected step leaves the table and the step counter as they were.  A
+    step may repeat the last valid one's values, so that its held
+    predictions are not new, or retry the last rejected one's values with
+    the fault mended, which are new however much of them that step read."""
 
     @initialize(seed=st.integers(0, 2**16), path=st.sampled_from(("auto", "cr", "numpy")))
     def build(self, seed, path):
@@ -737,6 +813,7 @@ class InterleavedSteps(RuleBasedStateMachine):
         self.variables = sorted({p.variable for p in self.preds.values()})
         self.mon = monitor_on(path, f, self.preds)
         self.samples = []
+        self.last = self.refused = None
 
     def frontier(self, values):
         sample = StateSample(dict(zip(self.variables, values)), len(self.samples) * 0.1)
@@ -750,9 +827,21 @@ class InterleavedSteps(RuleBasedStateMachine):
         sample, *ahead = self.frontier(values)
         out = self.mon.step(sample, ahead)
         self.samples.append(sample)
+        self.last = values
         i = len(self.samples) - 1
         held = held_prefix(Trace(tuple(self.samples), 0.1), i, self.formula.horizon)
-        assert out == offline_robustness(self.formula, self.preds, held, i)
+        assert exactly(out, offline_robustness(self.formula, self.preds, held, i))
+        assert_cells_match(self.mon, self.formula, self.preds, held, i)
+
+    @precondition(lambda self: self.last is not None)
+    @rule()
+    def repeat_step(self):
+        self.valid_step(self.last)
+
+    @precondition(lambda self: self.refused is not None)
+    @rule()
+    def retry_step(self):
+        self.valid_step(self.refused)
 
     @rule(values=VALUES, fault=st.sampled_from(("missing", "nan", "inf", "length")),
           var=st.integers(0, 2), at=st.integers(0, 6))
@@ -776,6 +865,7 @@ class InterleavedSteps(RuleBasedStateMachine):
         with pytest.raises(error):
             self.mon.step(frontier[0], frontier[1:])
         assert self.state() == before
+        self.refused = values
 
 
 TestInterleavedSteps = InterleavedSteps.TestCase

@@ -87,6 +87,10 @@ def test_trace_checks_raise_one_trace_error(tmp_path, times, delta_t, csv_body, 
         ),
         (lambda path: write_robustness_csv(path, 5), "rows must be an iterable of (step, time, robustness), got 5"),
         (
+            lambda path: write_robustness_csv(path, [(0, 0.0, 1.0), 5]),
+            "rows[1] must be a (step, time, robustness) triple, got 5",
+        ),
+        (
             lambda path: Monitor(compile_formula("p"), None),
             "predicates must be a mapping of atom name to Predicate, got None",
         ),
@@ -115,6 +119,7 @@ def test_trace_checks_raise_one_trace_error(tmp_path, times, delta_t, csv_body, 
     ],
     ids=[
         "Trace-samples", "desugar-tree", "offline_robustness-trace", "write_robustness_csv-rows",
+        "write_robustness_csv-row",
         "Monitor-predicates", "predict-trace", "Trace-None", "offline_robustness-formula",
         "offline_robustness-predicates", "Monitor.step-sample-values", "offline_robustness-sample-values",
     ],
@@ -122,12 +127,16 @@ def test_trace_checks_raise_one_trace_error(tmp_path, times, delta_t, csv_body, 
 def test_entry_points_name_an_argument_of_the_wrong_type(tmp_path, call, message):
     """An argument of the wrong type raises TypeError naming it, not an
     AttributeError or a TypeError from inside the package, and before
-    anything is written."""
+    anything is written, except that a bad row of write_robustness_csv
+    comes after the header and the rows streamed before it."""
     path = tmp_path / "out.csv"
     with pytest.raises(TypeError) as exc:
         call(str(path))
     assert str(exc.value) == message
-    assert not path.exists()
+    if message.startswith("rows["):
+        assert path.read_text(encoding="utf-8") == "step,time,robustness\n0,0.0,1.0\n"
+    else:
+        assert not path.exists()
 
 
 def package_imports() -> dict[str, set[str]]:
@@ -434,3 +443,16 @@ def test_write_robustness_csv_renders_infinities(tmp_path):
     assert lines[2].endswith(",-inf")
     values = [float(line.split(",")[2]) for line in lines[1:]]
     assert values == [math.inf, -math.inf, 2.5]
+
+
+def test_write_robustness_csv_passes_an_error_of_the_rows_iterator_through(tmp_path):
+    """A TypeError raised while the next row is made, as Monitor.step raises
+    one inside mtlmon monitor's row generator, is not taken for a bad row."""
+    def rows():
+        yield 0, 0.0, 1.0
+        raise TypeError("from the generator")
+
+    path = tmp_path / "out.csv"
+    with pytest.raises(TypeError, match="^from the generator$"):
+        write_robustness_csv(str(path), rows())
+    assert path.read_text() == "step,time,robustness\n0,0.0,1.0\n"
