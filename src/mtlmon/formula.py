@@ -366,7 +366,10 @@ def parse_formula(text: str) -> SurfaceNode:
 # Pretty printer (inverse of parse_formula up to tree equality)
 
 def format_formula(tree: SurfaceNode) -> str:
-    """Render a surface tree back to parseable text with minimal parens."""
+    """Render a surface tree back to parseable text with minimal parens.  A
+    tree that is not a SurfaceNode raises TypeError."""
+    if not isinstance(tree, SurfaceNode):
+        raise TypeError(f"tree must be a SurfaceNode, got {tree!r}")
     return _fmt(tree, 0)
 
 

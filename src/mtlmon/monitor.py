@@ -16,12 +16,12 @@ The table is updated incrementally.  A cell of row k at column j depends
 on samples up to absolute time i+j+horizon(k), where horizon(k) is the
 subformula's own future reach, that is on frontier columns up to
 j+horizon(k).  Each step finds new, the first frontier column whose
-values are not, bit for bit, those the previous step read at the same
-absolute time (so 0.0 and -0.0 differ): the horizon column always, and
-column 0 on the first step, without a horizon, or when any variable's
-value changed at column 0.  A cell left of column new-horizon(k) read no
-new value, so it equals the previous step's column j+1: shifting carries
-it over unchanged.  Left of -horizon(k) that holds for any predictions,
+values differ from those the previous step read at the same absolute
+time (0.0 and -0.0 do not: they give equal distances, see semantics):
+the horizon column always, and column 0 on the first step, without a
+horizon, or when any variable's value changed at column 0.  A cell left
+of column new-horizon(k) read no new value, so it equals the previous
+step's column j+1: shifting carries it over unchanged.  Left of -horizon(k) that holds for any predictions,
 since those cells read only actual samples.  Every other cell is
 recomputed, so a value computed from a prediction survives only while
 that prediction repeats, and a prediction that changed, or an actual
@@ -45,7 +45,7 @@ Each step:
 4. return the root row at column 0.
 
 The frontier is read one of two ways, to the same floats.  A formula
-with a horizon, whose atom rows are on numpy, reads a frontier whose
+with a horizon, whose atom rows may take numpy, reads a frontier whose
 samples are all rows of one loaded trace through RowValues.columns: one
 numpy gather from the trace's buffer gives each variable as a float64
 array, checked by np.isfinite, and the atom rows take the arrays as they
@@ -76,24 +76,29 @@ exactly with evaluation on the finite prefix, and lets until and since
 rows pass plain table slices to one windowed kernel.
 
 A row is filled either through numpy over whole slices or one cell at a
-time by cr(), the paper's per-cell recurrence.  An atom, not, or or true
-row takes numpy exactly when a steady step can recompute more than one
-of its cells, which is when the formula has a horizon: one numpy call
-costs more than one cr() cell, but less than the 11 or more cells such a
-row recomputes under the held predictions of the mixed-hold benchmark
-workload.  Under perfect predictions such a row recomputes its horizon
-column alone, one cell through numpy.  An until or bounded since row
-takes numpy when the table width (history + 1 + horizon columns, not
-the row's recomputed cells) times its window (up - lo + 1 offsets) is
-at least _VECTOR_CELLS.  So a past-only row
-that recomputes one cell a step still takes numpy when the formula's
-history is long, as the since[0,100] and since[0,200] rows of the
-past-settle benchmark and the rows of the case study's pt variant
-(criterion 5) do.  An until or since row reads the same window slices
-on both paths (Monitor._window: forward for until, mirrored in time for
-since), and the two produce bit-identical results (min/max select, they
-never round).  An unbounded since always takes cr(): its running value
-is the cell it wrote one column to the left.
+time by cr(), the paper's per-cell recurrence.  Each step picks a row's
+path from the cells it recomputes there, horizon + 1 - jlo, jlo being
+the row's first recomputed column.  An atom, not, or or true row takes
+numpy when that is more than one cell: one numpy call costs more than
+one cr() cell (an atom cell 3.6-4.0 us against 0.45-0.48, timeit on
+template E at H = 500, 2-CPU Xeon), but less than the 11 or more cells
+such a row recomputes under the held predictions of the mixed-hold
+benchmark workload.  So a past-only formula's rows never take it, and
+under perfect predictions an atom row takes it on the first step alone,
+after which it recomputes its horizon column only.  An until or bounded
+since row takes numpy when its cells times its window (up - lo + 1
+offsets) reach _VECTOR_CELLS, a value not yet calibrated: template E's
+until row does, mixed-hold's windowed rows (at most 21 cells over 31
+offsets) do not, and neither do the one-cell since rows of past-only
+formulas with windows under _VECTOR_CELLS offsets, such as past-settle's
+and the case study's (criterion 5).  _plan turns each rule into one
+bound per row, the first column from which a step takes cr(), so the
+test costs one comparison a step.  An until or since row reads the same
+window slices on both paths (Monitor._window: forward for until,
+mirrored in time for since), and the two produce bit-identical results:
+min and max select, they never round, and they tie only on equal bits,
+since no value is -0.0 (see semantics).  An unbounded since always takes
+cr(): its running value is the cell it wrote one column to the left.
 Row k recomputes horizon + 1 - new + horizon(k) cells per step, at most
 horizon(k) + horizon + 1, each linear in the row's window: quadratic in
 the window for future rows (template E's root spans [-H, H], and
@@ -136,7 +141,7 @@ from .semantics import (
 
 _BLOCK = 1 << 20      # elements per running-minimum block: caps its memory at 8 MB
 _CHUNK = 1 << 15      # elements per chunk of a wide block's running minima: 256 KB
-_VECTOR_CELLS = 4096  # windowed rows go through numpy when table width x window reaches this
+_VECTOR_CELLS = 4096  # windowed rows go through numpy when recomputed cells x window reach this
 
 
 @dataclass(slots=True)
@@ -144,9 +149,11 @@ class _Row:
     """How one table row is filled.  The window is [lo, up] with up an int;
     an unbounded since stores [lo, lo], the one disjunct that its running
     value (the row's own cell one column to the left) does not cover;
-    every until and bounded since has up >= 1.  vector rows are filled by
-    numpy over whole slices, all others cell by cell through Monitor.cr();
-    the module docstring says which rows are which."""
+    every until and bounded since has up >= 1.  A step whose first
+    recomputed column is cr_from or later fills the row cell by cell
+    through Monitor.cr(), any other step by numpy over whole slices; the
+    module docstring gives the rule, and cr_from = start keeps a row on
+    cr()."""
 
     kind: str
     left: int
@@ -157,7 +164,7 @@ class _Row:
     start: int  # leftmost column the row maintains
     pred: Predicate | None
     unbounded: bool
-    vector: bool
+    cr_from: int  # a step that recomputes from this column on fills the row through cr()
 
 
 class Monitor:
@@ -209,16 +216,16 @@ class Monitor:
     def _plan(self, node, predicates) -> _Row:
         lo = node.interval.lower if node.interval is not None else 0
         up = node.interval.upper if node.interval is not None else 0
+        start = node.history - self.history
         unbounded = node.kind == SINCE and up == math.inf
         if unbounded:
-            up, vector = lo, False  # the recurrence is inherently sequential
-        elif node.kind in (UNTIL, SINCE):
-            vector = self.width * (up - lo + 1) >= _VECTOR_CELLS
+            up, cr_from = lo, start  # the recurrence is inherently sequential
+        elif node.kind in (UNTIL, SINCE):  # numpy from ceil(_VECTOR_CELLS / window) cells on
+            cr_from = self.horizon + 2 - math.ceil(_VECTOR_CELLS / (int(up) - lo + 1))
         else:
-            vector = node.horizon + self.horizon > 0  # a steady step recomputes more than one cell
+            cr_from = self.horizon  # numpy from two cells on
         pred = predicates[node.name] if node.kind == ATOM else None
-        start = node.history - self.history
-        return _Row(node.kind, node.left, node.right, lo, int(up), node.horizon, start, pred, unbounded, vector)
+        return _Row(node.kind, node.left, node.right, lo, int(up), node.horizon, start, pred, unbounded, cr_from)
 
     def step(self, sample: StateSample, predictions: Sequence[StateSample] = ()) -> Rho:
         """Consume the current sample plus horizon predicted samples and
@@ -248,10 +255,10 @@ class Monitor:
         return float(T[0, self.history + 1])
 
     def _first_new(self, values: dict[str, Sequence[float]]) -> int:
-        """First frontier column that is new: not, bit for bit, what the
-        previous step read at the same absolute time, for every variable
-        (so 0.0 and -0.0 differ).  The horizon column is always new, and
-        every column is on the first step."""
+        """First frontier column that is new: a value other than the one
+        the previous step read at the same absolute time, for some
+        variable (0.0 and -0.0 are one value).  The horizon column is
+        always new, and every column is on the first step."""
         if not (self.i and self.horizon):
             return 0
         new = self.horizon
@@ -259,7 +266,7 @@ class Monitor:
             prev = self._values[var]
             if xs[0] != prev[1]:  # held predictions of a changed sample stop here
                 return 0
-            diff = xs[:new].view(np.uint64) != prev[1 : new + 1].view(np.uint64)
+            diff = xs[:new] != prev[1 : new + 1]
             if diff.any():
                 new = int(diff.argmax())
         return new
@@ -292,7 +299,7 @@ class Monitor:
         jlo = max(row.start, 1 - self.i, new - row.horizon)
         T = self.table
         off = self.history + 1
-        if not row.vector:
+        if jlo >= row.cr_from:  # fewer cells than pay for a numpy call
             for j in range(jlo, self.horizon + 1):
                 T[k, j + off] = self._cr(k, j)
             return
@@ -301,12 +308,11 @@ class Monitor:
             xs = self._values[row.pred.variable][jlo:]  # an array, or a one-value list without a horizon
             with np.errstate(over="ignore"):  # overflow to +-inf, silently as in cr()
                 d = np.minimum(np.subtract(xs, row.pred.lo), np.subtract(row.pred.hi, xs), out=T[k, a:e])
-                if row.pred.gain != 1.0:
-                    d *= row.pred.gain
+                np.add(np.multiply(d, row.pred.gain, out=d), 0.0, out=d)  # Predicate.distance, bit for bit
         elif row.kind == TRUE:
             T[k, a:e] = POS_INF
         elif row.kind == NOT:
-            np.negative(T[row.left, a:e], out=T[k, a:e])
+            np.subtract(0.0, T[row.left, a:e], out=T[k, a:e])  # 0.0 - v, never -0.0
         elif row.kind == OR:
             np.maximum(T[row.left, a:e], T[row.right, a:e], out=T[k, a:e])
         else:
@@ -351,7 +357,7 @@ class Monitor:
         if row.kind == ATOM:
             return row.pred.distance(float(self._values[row.pred.variable][j])) if j >= 0 else float(T[k, a])
         if row.kind == NOT:
-            return -float(T[row.left, a])
+            return 0.0 - float(T[row.left, a])
         if row.kind == OR:
             return float(max(T[row.left, a], T[row.right, a]))
         em, en, _ = self._window(k, a, a + 1)
@@ -363,10 +369,10 @@ class Monitor:
 
     def _checked_values(self, frontier: list[StateSample]) -> dict[str, Sequence[float]]:
         """Each variable the formula reads, over the frontier: a float64
-        array when the formula has a horizon, whose atom rows are on numpy,
-        a list otherwise.  Rejects a step whose frontier holds an object
-        that is not a StateSample, or samples that lack such a variable or
-        give it a value that is not a finite real number, as
+        array when the formula has a horizon, for atom rows that take
+        numpy, a list otherwise.  Rejects a step whose frontier holds an
+        object that is not a StateSample, or samples that lack such a
+        variable or give it a value that is not a finite real number, as
         semantics.sample_value does."""
         if self.horizon and (columns := RowValues.columns(frontier, self._variables)) is not None:
             return columns

@@ -16,8 +16,9 @@ two can be compared for exact equality.
 There is one semantics walk, _eval, read in one of two lattices.
 Robustness is the Boolean semantics with disjunction and conjunction
 replaced by max and min over the extended reals: an atom is its signed
-distance, true is +inf, an empty disjunction is -inf.  Truth is the same
-walk over the Booleans, an atom holding iff its distance is >= 0.  Since is until
+distance, a negation 0.0 - v (so no value is -0.0, see semantics), true
+is +inf, an empty disjunction is -inf.  Truth is the same walk over the
+Booleans, an atom holding iff its distance is >= 0.  Since is until
 mirrored in time, so both are one walk from step i outward over the
 window's steps, forward for until and backward for since, nearest first.
 
@@ -57,7 +58,7 @@ class _Lattice(NamedTuple):
     neg: Callable[[Any], Any]
 
 
-_ROBUSTNESS = _Lattice(signed_distance, NEG_INF, POS_INF, max, min, operator.neg)
+_ROBUSTNESS = _Lattice(signed_distance, NEG_INF, POS_INF, max, min, lambda v: 0.0 - v)
 _TRUTH = _Lattice(
     lambda sample, pred: signed_distance(sample, pred) >= 0, False, True, operator.or_, operator.and_, operator.not_
 )

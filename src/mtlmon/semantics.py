@@ -34,6 +34,15 @@ windows that reach before the stream start or past the data come out
 right.  Each evaluator holds them where it makes verdicts: the oracle as
 the bottom and top of its `_ROBUSTNESS` lattice, the monitor as its
 table's -inf start and pad and the +inf seed of its running minima.
+
+Robustness has one zero, 0.0.  An atom's distance is `gain * min(x - lo,
+hi - x) + 0.0` (`Predicate.distance`) and a negation is `0.0 - v`, in
+both evaluators and on both of the monitor's row paths.  Under IEEE 754
+round-to-nearest neither ever yields -0.0, and max and min only select,
+so no robustness value is -0.0.  Max and min then tie only on values
+with equal bits, and whichever tied operand numpy or Python keeps (numpy
+the second, Python the first), the result is the same.  A sample value
+-0.0 gives the distances that 0.0 gives.
 """
 
 from __future__ import annotations
@@ -216,8 +225,9 @@ class Predicate:
             raise PredicateError(f"{self.name}: gain must be finite and positive")
 
     def distance(self, x: float) -> Rho:
-        """Signed distance from the value x to the set, scaled by the gain."""
-        return self.gain * min(x - self.lo, self.hi - x)
+        """Signed distance from the value x to the set, scaled by the gain;
+        a zero distance is 0.0, never -0.0 (see the module docstring)."""
+        return self.gain * min(x - self.lo, self.hi - x) + 0.0
 
 
 def finite_real(x: object) -> bool:
@@ -273,7 +283,11 @@ def sample_value(sample: StateSample, variable: str) -> float:
 
 
 def signed_distance(sample: StateSample, predicate: Predicate) -> Rho:
-    """Signed distance from the sample's value to the predicate's set."""
+    """Signed distance from the sample's value to the predicate's set.  A
+    predicate that is not a Predicate raises TypeError, a sample as
+    sample_value does."""
+    if not isinstance(predicate, Predicate):
+        raise TypeError(f"predicate must be a Predicate, got {predicate!r}")
     return predicate.distance(sample_value(sample, predicate.variable))
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import string
 from array import array
 from enum import Enum
@@ -53,11 +54,13 @@ class PredictorMode(Enum):
     NONE = "none"        # no predictions; only valid for zero-horizon formulas
 
 
-def load_trace(path: str) -> Trace:
+def load_trace(path: str | os.PathLike) -> Trace:
     """Load and validate a trace CSV, parsing it one row at a time.  The
-    trace keeps the header's variable names, rows or no rows."""
+    trace keeps the header's variable names, rows or no rows.  A path that
+    is not a str or os.PathLike raises TypeError before anything is
+    opened: an integer would be read as a file descriptor, and closed."""
     try:
-        variables, samples = _read_samples(path)
+        variables, samples = _read_samples(_checked_path(path))
     except UnicodeDecodeError as exc:
         raise TraceError(not_utf8("trace", exc)) from None
     except csv.Error as exc:  # such as a field over csv's size limit
@@ -66,7 +69,13 @@ def load_trace(path: str) -> Trace:
     return Trace(tuple(samples), delta_t, variables)  # Trace checks the spacing of every row
 
 
-def _read_samples(path: str) -> tuple[tuple[str, ...], list[StateSample]]:
+def _checked_path(path: object) -> str | os.PathLike:
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"path must be a str or os.PathLike, got {path!r}")
+    return path
+
+
+def _read_samples(path: str | os.PathLike) -> tuple[tuple[str, ...], list[StateSample]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(line for line in fh if (text := line.lstrip()) and text[0] != "#")
         first = next(reader, None)
@@ -221,18 +230,20 @@ def gen_case_study_trace(
     return Trace(tuple(samples), delta_t)
 
 
-def write_robustness_csv(path: str, rows: Iterable[tuple[int, float, Rho]]) -> tuple[int, Rho]:
+def write_robustness_csv(path: str | os.PathLike, rows: Iterable[tuple[int, float, Rho]]) -> tuple[int, Rho]:
     """Write monitor output rows as ``step,time,robustness``, each as it
     arrives, so an iterator of rows is never held whole; a run that stops
     early leaves the rows written so far.  Returns how many rows were
-    written and their least robustness, (0, inf) for none.  rows that are
-    not iterable raise TypeError before the file is opened; a row that is
-    not such a triple raises TypeError when it arrives, and since rows are
-    streamed, the header and the rows before it stay written."""
+    written and their least robustness, (0, inf) for none.  A path that is
+    not a str or os.PathLike (an integer would be written to as a file
+    descriptor, and closed) and rows that are not iterable raise TypeError
+    before the file is opened; a row that is not such a triple raises
+    TypeError when it arrives, and since rows are streamed, the header and
+    the rows before it stay written."""
     if not isinstance(rows, Iterable):
         raise TypeError(f"rows must be an iterable of (step, time, robustness), got {rows!r}")
     count, worst = 0, math.inf
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_checked_path(path), "w", encoding="utf-8") as fh:
         fh.write("step,time,robustness\n")
         for count, row in enumerate(rows, 1):
             try:  # around the unpacking alone: an error raised by the rows iterator passes through

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -22,7 +23,7 @@ from mtlmon import (
     predict,
 )
 from mtlmon import monitor as monitor_module
-from mtlmon.formula import ATOM, SINCE, UNTIL, CoreNode, Formula, Interval
+from mtlmon.formula import ATOM, NOT, OR, SINCE, TRUE, UNTIL, CoreNode, Formula, Interval
 from mtlmon.oracle import Trace
 from mtlmon.semantics import RowValues
 
@@ -257,52 +258,91 @@ def test_storage_never_grows():
 
 
 def monitor_on(path, f, preds):
-    """A monitor whose rows take one path: "numpy" sends every row but an
-    unbounded since through the numpy kernels, "cr" fills every row cell
-    by cell through cr(), and "auto" keeps the routing the monitor chose."""
+    """A monitor whose rows take one path on every step: "numpy" sends every
+    row but an unbounded since through the numpy kernels, "cr" fills every
+    row cell by cell through cr(), and "auto" keeps the monitor's per-step
+    choice.  A step whose first recomputed column is row.cr_from or later
+    takes cr(), and no step recomputes from beyond the horizon or from left
+    of row.start."""
     mon = Monitor(f, preds)
     if path != "auto":
         for row in mon._rows:
-            row.vector = path == "numpy" and not row.unbounded
+            row.cr_from = mon.horizon + 1 if path == "numpy" and not row.unbounded else row.start
     return mon
+
+
+def rows_on_numpy(mon, sample, ahead):
+    """Take one step and return the rows it filled through numpy: those for
+    which it made no cr() call."""
+    called = set()
+    cr = mon._cr
+
+    def spy(k, j):
+        called.add(k)
+        return cr(k, j)
+
+    mon._cr = spy
+    try:
+        mon.step(sample, ahead)
+    finally:
+        del mon._cr
+    return set(range(len(mon._rows))) - called
+
+
+ELEMENTWISE = frozenset({ATOM, NOT, OR, TRUE})
+
+
+def rows_on_numpy_each_step(f, preds, variables, mode):
+    """Run a fresh monitor from step 1 to two past the formula's history
+    under the `mode` predictor and yield, for each step, the set of rows
+    that step filled through numpy."""
+    steps = f.history + 3
+    trace = random_trace(random.Random(83), variables, steps + f.horizon)
+    mon = Monitor(f, preds)
+    for i in range(steps):
+        yield rows_on_numpy(mon, trace.samples[i], predict(mode, trace, i, f.horizon))
 
 
 @pytest.mark.parametrize(
     "text, vector",
     [
         ("p or historically[0,300] q", False),  # past-only: one cell per row and step
-        ("eventually[0,3] p", True),  # 4 cells per elementwise row and step
+        ("eventually[0,3] p", True),  # held predictions: 4 cells per elementwise row and step
     ],
 )
 def test_elementwise_rows_take_numpy_when_a_step_recomputes_several_cells(text, vector):
     f = compile_formula(text)
-    mon = Monitor(f, {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)})
-    elementwise = [row for row in mon._rows if row.kind not in (UNTIL, SINCE)]
+    preds = {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)}
+    elementwise = [k for k, node in enumerate(f.nodes) if node.kind in ELEMENTWISE]
     assert len(elementwise) >= 2
-    assert all(row.vector == vector for row in elementwise)
+    for i, numpy in enumerate(rows_on_numpy_each_step(f, preds, ["x", "y"], "hold")):
+        assert {k in numpy for k in elementwise} == {vector}, i
 
 
 # The four benchmark specifications (perfbench/reference.py), copied as
-# text.  The benchmark's peak_rss_mb grows with run length, so a routing
-# change that makes a workload's steps faster also moves its memory
-# reading (ROADMAP).  This pins each row's path as it is, so that a
+# text, each under held predictions, where every step from step 1 on
+# recomputes the same cells, so each row keeps one path: the windowed rows
+# by kind, window and whether they took numpy, and the path every
+# elementwise row took.  The benchmark's peak_rss_mb grows with run length,
+# so a routing change that makes a workload's steps faster also moves its
+# memory reading (ROADMAP item 1): this pins each row's path, so that a
 # change of routing has to change this test on purpose.
 @pytest.mark.parametrize(
     "text, windowed, elementwise",
     [
-        (  # past-settle
+        (  # past-settle: past-only, one cell per row and step, under 4096 / window
             "(not lam_ok -> once[0,100] historically[0,100] lam_ok)"
             " and historically[0,200] (lam_ok since[0,inf) idle)",
-            [(SINCE, 0, 100, True), (SINCE, 0, 100, True), (SINCE, 0, 200, True), (SINCE, 0, INF, False)],
+            [(SINCE, 0, 100, False), (SINCE, 0, 100, False), (SINCE, 0, 200, False), (SINCE, 0, INF, False)],
             False,
         ),
-        (  # mixed-hold
+        (  # mixed-hold: 11 or more cells per row and step, windowed rows at most 21 x 31
             "historically[0,30] (a -> eventually[0,10] b) and (c until[0,5] d) and once[0,8] d",
             [(SINCE, 0, 8, False), (SINCE, 0, 30, False), (UNTIL, 0, 5, False), (UNTIL, 0, 10, False)],
             True,
         ),
-        ("p0 -> eventually[0,500] p1", [(UNTIL, 0, 500, True)], True),  # template-E
-        (  # wide-log
+        ("p0 -> eventually[0,500] p1", [(UNTIL, 0, 500, True)], True),  # template-E under hold
+        (  # wide-log: past-only
             "historically[0,4] (a_ok or b_ok) and once[0,3] c_ok",
             [(SINCE, 0, 3, False), (SINCE, 0, 4, False)],
             False,
@@ -311,14 +351,38 @@ def test_elementwise_rows_take_numpy_when_a_step_recomputes_several_cells(text, 
 )
 def test_benchmark_specifications_keep_their_row_routing(text, windowed, elementwise):
     f = compile_formula(text)
-    mon = Monitor(f, {name: Predicate(name, name, lo=0.0) for name in f.atom_names})
-    rows = list(zip(f.nodes, mon._rows))
-    assert sorted(
-        (node.kind, node.interval.lower, node.interval.upper, row.vector)
-        for node, row in rows
-        if node.kind in (UNTIL, SINCE)
-    ) == windowed
-    assert {row.vector for node, row in rows if node.kind not in (UNTIL, SINCE)} == {elementwise}
+    preds = {name: Predicate(name, name, lo=0.0) for name in f.atom_names}
+    for i, numpy in enumerate(rows_on_numpy_each_step(f, preds, sorted(f.atom_names), "hold")):
+        rows = list(enumerate(f.nodes))
+        assert sorted(
+            (node.kind, node.interval.lower, node.interval.upper, k in numpy)
+            for k, node in rows
+            if node.kind in (UNTIL, SINCE)
+        ) == windowed, i
+        assert {k in numpy for k, node in rows if node.kind not in (UNTIL, SINCE)} == {elementwise}, i
+
+
+# Rows whose path changes after step 1: template E under its own predictor,
+# perfect, and one until row whose recomputed cells x window reach
+# _VECTOR_CELLS = 4096 exactly on its second step (128 x 32; 127 x 32 on the
+# first).  Which rows take numpy on step 1, and on every later step up to
+# two past the formula's history, by kind.
+@pytest.mark.parametrize(
+    "text, mode, first, later",
+    [
+        (  # after step 1 the atom, not and true rows recompute their horizon column alone
+            "p0 -> eventually[0,500] p1", "perfect", ELEMENTWISE | {UNTIL}, {UNTIL, OR},
+        ),
+        ("a until[95,126] b", "hold", ELEMENTWISE, ELEMENTWISE | {UNTIL}),
+    ],
+    ids=["template-E", "until-at-4096"],
+)
+def test_each_step_routes_rows_by_the_cells_it_recomputes(text, mode, first, later):
+    f = compile_formula(text)
+    preds = {name: Predicate(name, name, lo=0.0) for name in f.atom_names}
+    for i, numpy in enumerate(rows_on_numpy_each_step(f, preds, sorted(f.atom_names), mode)):
+        kinds = first if i == 0 else later
+        assert numpy == {k for k, node in enumerate(f.nodes) if node.kind in kinds}, i
 
 
 def assert_recomputed_cells_equal_cr(mon):
@@ -340,8 +404,8 @@ def test_numpy_rows_agree_with_cr_cell_for_cell():
         trace = random_trace(rng, [p.variable for p in preds.values()], rng.randint(f.horizon + 1, 25))
         vector = monitor_on("numpy", f, preds)
         plain = monitor_on("cr", f, preds)
-        assert all(row.vector != row.unbounded for row in vector._rows)
-        assert not any(row.vector for row in plain._rows)
+        assert all((row.cr_from > f.horizon) != row.unbounded for row in vector._rows)
+        assert all(row.cr_from == row.start for row in plain._rows)
         for i in range(len(trace.samples) - f.horizon):
             ahead = list(trace.samples[i + 1 : i + 1 + f.horizon])
             assert vector.step(trace.samples[i], ahead) == plain.step(trace.samples[i], ahead)
@@ -389,7 +453,7 @@ def test_kernel_blocks_match_plain_rows(monkeypatch, text, block):
         preds = random_predicates(rng, f.atom_names)
         trace = random_trace(rng, sorted({p.variable for p in preds.values()}), f.history + f.horizon + 12)
         mon = monitor_on("numpy", f, preds)
-        assert all(row.vector for row in mon._rows)
+        assert all(row.cr_from > f.horizon for row in mon._rows)
         for i in range(len(trace.samples) - f.horizon):
             mon.step(trace.samples[i], list(trace.samples[i + 1 : i + 1 + f.horizon]))
             assert_recomputed_cells_equal_cr(mon)
@@ -530,7 +594,7 @@ def test_numpy_atom_row_overflows_to_inf_silently(pred):
     f = compile_formula("eventually[0,70] p")
     mon = Monitor(f, {"p": pred})
     atom = next(k for k, n in enumerate(f.nodes) if n.kind == "atom")
-    assert mon._rows[atom].vector
+    assert mon._rows[atom].cr_from > 0  # the first step recomputes it from column 0, through numpy
     assert mon.step(x_sample(1e308), [x_sample(1e308)] * 70) == INF
     assert mon.cell(atom, 0) == INF
 
@@ -721,8 +785,7 @@ def test_root_column_minus_horizon_is_the_settled_verdict(mode):
 
 def exactly(got, want):
     """Equal, and of the same sign where both are zero: == cannot tell 0.0
-    from -0.0, and a cell carried over past a sample that changed only the
-    sign of a zero differs from the reference in nothing else."""
+    from -0.0, and neither evaluator may make -0.0 (see semantics)."""
     return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
@@ -739,8 +802,9 @@ def assert_cells_match(mon, f, preds, trace, i):
 @pytest.mark.parametrize("path", ["cr", "numpy"])
 def test_held_zero_that_changes_sign_is_new(path):
     """x = 0.0 then x = -0.0 under held predictions: equal values, other
-    bits.  The second verdict reads -0.0 everywhere, as the reference
-    does; a cell kept from the 0.0 step would turn it into 0.0."""
+    bits.  Both give the distance 0.0, so the second frontier repeats the
+    first up to its horizon column, and on either row path the verdict is
+    0.0, as the reference's is."""
     f = compile_formula("eventually[0,2] p")
     mon = monitor_on(path, f, X_GE_0)
     samples = [x_sample(0.0), x_sample(-0.0, 0.1)]
@@ -748,7 +812,37 @@ def test_held_zero_that_changes_sign_is_new(path):
         out = mon.step(sample, [sample] * f.horizon)
         held = held_prefix(Trace(tuple(samples[: i + 1]), 0.1), i, f.horizon)
         assert exactly(out, offline_robustness(f, X_GE_0, held, i))
-    assert math.copysign(1.0, out) == -1.0
+    assert math.copysign(1.0, out) == 1.0
+
+
+@pytest.mark.parametrize("path", ["cr", "numpy"])
+@pytest.mark.parametrize(
+    "text, pred",
+    [
+        ("eventually[0,2] p", Predicate("p", "x", lo=0.0)),
+        ("eventually[0,2] not p", Predicate("p", "x", lo=0.0)),
+        ("historically[0,2] p", Predicate("p", "x", lo=0.0, hi=0.0)),  # x - lo and hi - x tie at x = 0
+        ("p or not p", Predicate("p", "x", lo=0.0)),
+    ],
+    ids=["eventually", "eventually-not", "historically-point", "p-or-not-p"],
+)
+def test_zero_has_one_sign_on_both_row_paths(text, pred, path):
+    """Every frontier of three values drawn from 0.0, -0.0 and -1.0: one
+    step with two predictions, or three steps of a past-only formula.  On
+    a tie of 0.0 and -0.0 numpy's maximum and minimum keep the second
+    operand and Python's the first, so the two row paths agree with each
+    other and with the reference, sign included, only because no value is
+    -0.0 (see semantics): every defined cell equals the reference exactly
+    and no table cell is -0.0."""
+    f = compile_formula(text)
+    preds = {"p": pred}
+    for values in itertools.product((0.0, -0.0, -1.0), repeat=3):
+        trace = Trace(tuple(x_sample(v, 0.1 * t) for t, v in enumerate(values)), 0.1)
+        mon = monitor_on(path, f, preds)
+        for i in range(len(trace) - f.horizon):
+            mon.step(trace.samples[i], list(trace.samples[i + 1 : i + 1 + f.horizon]))
+            assert_cells_match(mon, f, preds, trace, i)
+            assert not np.signbit(mon.table[mon.table == 0.0]).any(), values
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,7 @@
 import ast
 import csv
 import math
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -21,6 +22,7 @@ from mtlmon import (
     TraceExhausted,
     compile_formula,
     desugar,
+    format_formula,
     gen_case_study_trace,
     load_trace,
     offline_robustness,
@@ -76,6 +78,28 @@ def test_trace_checks_raise_one_trace_error(tmp_path, times, delta_t, csv_body, 
         assert type(loaded.value) is TraceError and str(loaded.value) == message
 
 
+def on_a_pipe(entry, end):
+    """A call of entry on end 0 (read) or 1 (write) of a fresh pipe, never
+    on descriptors 0-2; the call keeps that descriptor as call.fd.
+    Reading meets end of file, since the write end is closed first, and
+    writing fits in the pipe's buffer.  Closing the pipe afterwards raises
+    OSError if the call closed the descriptor itself."""
+
+    def call(path):
+        fds = os.pipe()
+        call.fd = fds[end]
+        if end == 0:
+            os.close(fds[1])
+        try:
+            entry(call.fd)
+        finally:
+            os.close(fds[0])
+            if end == 1:
+                os.close(fds[1])
+
+    return call
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -116,23 +140,31 @@ def test_trace_checks_raise_one_trace_error(tmp_path, times, delta_t, csv_body, 
             ),
             "sample values must be a mapping, got [1.0]",
         ),
+        (on_a_pipe(load_trace, 0), "path must be a str or os.PathLike, got <fd>"),
+        (on_a_pipe(lambda fd: write_robustness_csv(fd, [(0, 0.0, 1.0)]), 1),
+         "path must be a str or os.PathLike, got <fd>"),
+        (lambda path: format_formula(5), "tree must be a SurfaceNode, got 5"),
+        (lambda path: signed_distance(StateSample({"x": 1.0}), None), "predicate must be a Predicate, got None"),
     ],
     ids=[
         "Trace-samples", "desugar-tree", "offline_robustness-trace", "write_robustness_csv-rows",
         "write_robustness_csv-row",
         "Monitor-predicates", "predict-trace", "Trace-None", "offline_robustness-formula",
         "offline_robustness-predicates", "Monitor.step-sample-values", "offline_robustness-sample-values",
+        "load_trace-descriptor", "write_robustness_csv-descriptor", "format_formula-tree",
+        "signed_distance-predicate",
     ],
 )
 def test_entry_points_name_an_argument_of_the_wrong_type(tmp_path, call, message):
     """An argument of the wrong type raises TypeError naming it, not an
     AttributeError or a TypeError from inside the package, and before
     anything is written, except that a bad row of write_robustness_csv
-    comes after the header and the rows streamed before it."""
+    comes after the header and the rows streamed before it.  A file
+    descriptor given as a path is refused and left open."""
     path = tmp_path / "out.csv"
     with pytest.raises(TypeError) as exc:
         call(str(path))
-    assert str(exc.value) == message
+    assert str(exc.value) == message.replace("<fd>", str(getattr(call, "fd", None)))
     if message.startswith("rows["):
         assert path.read_text(encoding="utf-8") == "step,time,robustness\n0,0.0,1.0\n"
     else:
