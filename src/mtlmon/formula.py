@@ -141,11 +141,11 @@ def _natural(bound: object) -> bool:
 class SurfaceNode:
     """Node of the parsed syntax tree, before compilation to the core.
 
-    op is "atom", "true", "false" or an operator's name.  Only an atom has
-    a name, a str.  An operator takes two SurfaceNode children at binding
-    levels 0 to 3 and one at level 4, and an Interval exactly when it is
-    windowed, bounded for a future one.  A node that breaks this raises
-    ValueError.
+    op is "atom", "true", "false" or an operator's name, a str.  Only an
+    atom has a name, a str.  children is a tuple: an operator takes two
+    SurfaceNode children at binding levels 0 to 3 and one at level 4, and
+    an Interval exactly when it is windowed, bounded for a future one.  A
+    node that breaks this raises ValueError.
     """
 
     op: str
@@ -158,6 +158,10 @@ class SurfaceNode:
         # or a call (but type()) would count as one more level against the
         # recursion limit and cut the deepest nesting that parses: a leaf's
         # checks are dict lookups, truth tests and identities only
+        if type(self.op) is not str:
+            raise ValueError(f"op must be a str, got {self.op!r}")
+        if type(self.children) is not tuple:
+            raise ValueError(f"children of {self.op!r} must be a tuple, got {self.children!r}")
         if self.op not in _NAME_TYPE:
             raise ValueError(f"unknown operator {self.op!r}")
         if type(self.name) is not _NAME_TYPE[self.op]:

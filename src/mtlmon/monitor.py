@@ -130,11 +130,11 @@ from .semantics import (
     NEG_INF,
     POS_INF,
     Predicate,
-    PredicateError,
     Rho,
     RowValues,
     StateSample,
     checked_index,
+    checked_predicates,
     node_index,
     sample_value,
 )
@@ -176,9 +176,8 @@ class Monitor:
     (0 without until); it never grows with the stream.  Column j of row k
     is table[k, j + history + 1].  A table larger than physical memory is
     refused with MemoryError before anything is allocated.  A formula that
-    is not a compiled Formula, or predicates that are not a mapping, raise
-    TypeError, and an atom that is unbound or bound to anything but a
-    Predicate PredicateError.
+    is not a compiled Formula raises TypeError, and predicates follow
+    semantics.checked_predicates, the binding rule the oracle shares.
     step() is single-writer: do not call it concurrently on the same
     instance.  Independent monitors are fully isolated.
     """
@@ -186,14 +185,7 @@ class Monitor:
     def __init__(self, formula: Formula, predicates: Mapping[str, Predicate]):
         if not isinstance(formula, Formula):
             raise TypeError(f"formula must be a compiled Formula, got {formula!r}")
-        if not isinstance(predicates, Mapping):
-            raise TypeError(f"predicates must be a mapping of atom name to Predicate, got {predicates!r}")
-        missing = sorted(formula.atom_names - set(predicates))
-        if missing:
-            raise PredicateError("unbound atoms: " + ", ".join(missing))
-        for name in sorted(formula.atom_names):
-            if not isinstance(predicates[name], Predicate):
-                raise PredicateError(f"atom {name!r} is bound to {predicates[name]!r}, not a Predicate")
+        checked_predicates(formula.atom_names, predicates)
         self.formula = formula
         self.horizon = formula.horizon
         self.history = formula.history

@@ -5,9 +5,11 @@ and no other module of the package but `__init__` imports it.  It
 recomputes values directly from the defining semantics, with no
 incremental state, no table, and no running values.  It exists as ground
 truth for testing the streaming monitor, so it deliberately shares nothing
-with the monitor beyond the value domain, signed distances and the rule
-for sample values (semantics.sample_value): a sample the monitor refuses,
-the oracle refuses with the same exception and message.  Windows
+with the monitor beyond the value domain, signed distances, the rule for
+sample values (semantics.sample_value) and the rule for predicate
+bindings (semantics.checked_predicates): a sample or a binding the monitor
+refuses, the oracle refuses with the same exception and message, and it
+checks every binding up front, also one of an atom it never reads.  Windows
 that run past the end of the supplied trace are truncated, and past
 windows clamp at the trace start; on finite data that is the only
 reasonable reading, and it is exactly what the monitor computes, so the
@@ -41,6 +43,7 @@ from .semantics import (
     StateSample,
     Trace,
     checked_index,
+    checked_predicates,
     node_index,
     signed_distance,
 )
@@ -103,11 +106,12 @@ def _eval(
     The calls of one such function share one memo per (subformula, step).
     The node and each step follow semantics.checked_index: one outside the
     formula or the trace raises IndexError, one that is not an integer
-    TypeError, as do a formula, predicates or trace of the wrong type."""
+    TypeError, as do a formula or trace of the wrong type.  predicates
+    follow semantics.checked_predicates, as for Monitor, so every atom is
+    bound before any sample is read, even one the walk never reaches."""
     if not isinstance(formula, Formula):
         raise TypeError(f"formula must be a compiled Formula, got {formula!r}")
-    if not isinstance(predicates, Mapping):
-        raise TypeError(f"predicates must be a mapping of atom name to Predicate, got {predicates!r}")
+    checked_predicates(formula.atom_names, predicates)
     if not isinstance(trace, Trace):
         raise TypeError(f"trace must be a Trace, got {trace!r}")
     nodes, samples = formula.nodes, trace.samples

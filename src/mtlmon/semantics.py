@@ -28,6 +28,12 @@ column arguments of `Monitor.cell` and `Monitor.cr`, of the oracle and of
 `predict` must be integers in range.  A bool, a float or a string raises
 TypeError and an integer out of range IndexError, each naming the argument.
 
+Bindings have one rule too, `checked_predicates`: `Monitor` and the three
+oracle functions each take predicates that must be a mapping binding
+every atom of the formula to a `Predicate`, and check it before any
+sample is read.  Anything but a mapping raises TypeError, and an unbound
+atom or a binding that is not a Predicate PredicateError naming the atom.
+
 Max and min over empty windows follow the lattice conventions: the max
 of nothing is -inf and the min of nothing is +inf, which is what makes
 windows that reach before the stream start or past the data come out
@@ -254,6 +260,20 @@ def checked_index(x: object, name: str, lo: int, hi: float, where: str = "") -> 
 def node_index(k: object, count: int) -> int:
     """k as the index of a subformula of a formula of count nodes."""
     return checked_index(k, "subformula", 0, count - 1, f"the formula's {count} nodes")
+
+
+def checked_predicates(atom_names: frozenset[str], predicates: object) -> None:
+    """The binding rule, as `checked_index` is the index rule: predicates
+    must be a mapping that binds every atom name to a Predicate.  Anything
+    but a mapping raises TypeError; an unbound atom, or one bound to
+    anything but a Predicate, PredicateError naming it."""
+    if not isinstance(predicates, Mapping):
+        raise TypeError(f"predicates must be a mapping of atom name to Predicate, got {predicates!r}")
+    if missing := sorted(atom_names - set(predicates)):
+        raise PredicateError("unbound atoms: " + ", ".join(missing))
+    for name in sorted(atom_names):
+        if not isinstance(predicates[name], Predicate):
+            raise PredicateError(f"atom {name!r} is bound to {predicates[name]!r}, not a Predicate")
 
 
 def physical_memory() -> int:

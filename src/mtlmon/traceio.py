@@ -30,6 +30,7 @@ import csv
 import math
 import os
 import string
+import sys
 from array import array
 from enum import Enum
 from typing import Iterable
@@ -138,12 +139,13 @@ def check_predictor(mode: PredictorMode | str, horizon: int) -> PredictorMode:
 def predict(mode: PredictorMode | str, trace: Trace, i: int, horizon: int) -> list[StateSample]:
     """Future samples for step i: held, looked up, or none at all.  mode is
     a PredictorMode or its value, as for check_predictor, and i and
-    horizon follow semantics.checked_index: 0 <= i < len(trace), horizon >= 0.
+    horizon follow semantics.checked_index: 0 <= i < len(trace) and
+    0 <= horizon <= sys.maxsize, the bound on any list length.
     A trace that is not a Trace raises TypeError."""
     if not isinstance(trace, Trace):
         raise TypeError(f"trace must be a Trace, got {trace!r}")
     i = checked_index(i, "step", 0, len(trace) - 1)
-    mode = check_predictor(mode, checked_index(horizon, "horizon", 0, math.inf))
+    mode = check_predictor(mode, checked_index(horizon, "horizon", 0, sys.maxsize))
     if mode is PredictorMode.NONE:
         return []
     if mode is PredictorMode.HOLD:

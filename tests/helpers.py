@@ -1,12 +1,18 @@
-"""Shared generators and reference recursions for the test suite."""
+"""Shared generators, reference recursions and property suites for the
+test suite.  Each property suite is a function of a random.Random that
+returns its case count: test_properties runs each under a seed of its
+own, and criterion 6 runs all six (PROPERTY_SUITES) under seeds 600-605.
+"""
 
 from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import replace
+from itertools import accumulate
 
-from mtlmon import Monitor, Predicate, StateSample, Trace, offline_robustness_series
+from mtlmon import Monitor, Predicate, StateSample, Trace, boolean_eval, compile_formula, offline_robustness_series
 from mtlmon.formula import SINCE, Interval, SurfaceNode
 
 ATOMS = ("a", "b", "c")
@@ -220,3 +226,142 @@ def surface_history(tree: SurfaceNode) -> int:
     if up == math.inf:
         return max(kids[0] + max(lo, 1) - 1, kids[1] + lo)
     return max(kids[0] + int(up) - 1, kids[1] + int(up))
+
+
+def random_case(rng: random.Random, max_horizon: int, max_len: int, max_bound: int = 8, short: bool = False):
+    """(text, formula, predicates, trace): a random core formula of depth
+    at most 3 and horizon at most max_horizon, random predicates for its
+    atoms and a random trace over their variables, of horizon + 1 to
+    max_len samples, or of 1 to max_len when short."""
+    while True:
+        text = random_core_text(rng, max_depth=3, max_bound=max_bound)
+        formula = compile_formula(text)
+        if formula.horizon <= max_horizon:
+            break
+    predicates = random_predicates(rng, formula.atom_names)
+    variables = sorted({p.variable for p in predicates.values()})
+    trace = random_trace(rng, variables, rng.randint(1 if short else formula.horizon + 1, max_len))
+    return text, formula, predicates, trace
+
+
+def negation_duality(rng: random.Random) -> int:
+    """not phi is minus phi at every step, through the monitor."""
+    for _ in range(200):
+        text, plain, predicates, trace = random_case(rng, max_horizon=20, max_len=25)
+        outs, _ = perfect_series(plain, predicates, trace)
+        negated, _ = perfect_series(compile_formula(f"not ({text})"), predicates, trace)
+        assert negated == [-v for v in outs]
+    return 200
+
+
+def box_diamond_duality(rng: random.Random) -> int:
+    """always[I] phi is minus eventually[I] not phi at every step."""
+    for _ in range(200):
+        body = random_core_text(rng, max_depth=2, max_bound=4)
+        lo = rng.randint(0, 4)
+        up = rng.randint(lo, 6)
+        always = compile_formula(f"always[{lo},{up}] ({body})")
+        dual = compile_formula(f"eventually[{lo},{up}] (not ({body}))")
+        predicates = random_predicates(rng, always.atom_names | dual.atom_names)
+        variables = sorted({p.variable for p in predicates.values()})
+        trace = random_trace(rng, variables, rng.randint(always.horizon + 1, 30))
+        outs, _ = perfect_series(always, predicates, trace)
+        dual_outs, _ = perfect_series(dual, predicates, trace)
+        assert outs == [-v for v in dual_outs]
+    return 200
+
+
+def past_only_purity(rng: random.Random) -> int:
+    """A past-only formula has no horizon, and its verdicts on a prefix do
+    not depend on the samples that follow it."""
+    for _ in range(200):
+        formula = compile_formula(random_past_text(rng))
+        assert formula.horizon == 0
+        predicates = random_predicates(rng, formula.atom_names)
+        variables = sorted({p.variable for p in predicates.values()})
+        prefix = random_trace(rng, variables, rng.randint(1, 15))
+        runs = []
+        for seed in (1, 2):
+            suffix_rng = random.Random(seed)
+            mon = Monitor(formula, predicates)
+            runs.append([mon.step(s) for s in prefix.samples])
+            for k in range(5):
+                mon.step(StateSample({v: suffix_rng.uniform(-10, 10) for v in variables},
+                                     (len(prefix.samples) + k) * 0.1))
+        assert runs[0] == runs[1]
+    return 200
+
+
+def positive_homogeneity(rng: random.Random) -> int:
+    """Scaling every predicate's gain by a factor scales each verdict by it."""
+    for case in range(200):
+        factor = (0.5, 2.0, 10.0)[case % 3]
+        _, formula, predicates, trace = random_case(rng, max_horizon=24, max_len=25)
+        boosted = {name: replace(p, gain=p.gain * factor) for name, p in predicates.items()}
+        base, _ = perfect_series(formula, predicates, trace)
+        scaled, _ = perfect_series(formula, boosted, trace)
+        assert scaled == [factor * v for v in base]
+    return 200
+
+
+def sign_soundness(rng: random.Random) -> int:
+    """A positive robustness means true and a negative one false, on traces
+    shorter than the horizon as well; more than 500 nonzero verdicts."""
+    checked = 0
+    for _ in range(200):
+        _, formula, predicates, trace = random_case(rng, max_horizon=17, max_len=18, max_bound=6, short=True)
+        for i, value in enumerate(offline_robustness_series(formula, predicates, trace)):
+            if value != 0:
+                assert boolean_eval(formula, predicates, trace, i) is (value > 0)
+                checked += 1
+    assert checked > 500
+    return 200
+
+
+def extrema_conventions(rng: random.Random) -> int:
+    """once and historically windows are the max and min of their values
+    over the extended reals, through Monitor.step and the oracle.  Of n
+    values drawn from finite, +inf and -inf (10 times +-1e308 overflows,
+    silently on both sides), a window [0, n-1] ends up holding all, and a
+    window [1, n] is empty at step 0, where the max of nothing is -inf and
+    the min of nothing is +inf.  Over a random window, historically p is
+    minus once over the negated signal, at most once p, and +inf and -inf
+    before the window's first step exists."""
+    p, q = (Predicate(name, var, lo=0.0, gain=10.0) for name, var in (("p", "x"), ("q", "y")))
+    predicates = {"p": p, "q": q}
+    assert (p.distance(1e308), p.distance(-1e308)) == (math.inf, -math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            xs = [rng.choice((rng.uniform(-5, 5), 1e308, -1e308)) for _ in range(n)]
+            values = [p.distance(x) for x in xs]
+            trace = column_trace(x=xs, y=[-x for x in xs])
+            for lo in (0, 1):
+                for op, join, empty in (("once", max, -math.inf), ("historically", min, math.inf)):
+                    formula = compile_formula(f"{op}[{lo},{lo + n - 1}] p")
+                    expect = [empty] * lo + list(accumulate(values, join))[: n - lo]
+                    assert agreed_series(formula, predicates, trace) == expect
+            lo = rng.randint(0, n)
+            up = rng.randint(lo, n + 2)
+            low, high, dual = (
+                agreed_series(compile_formula(text), predicates, trace)
+                for text in (f"historically[{lo},{up}] p", f"once[{lo},{up}] p", f"once[{lo},{up}] q")
+            )
+            assert low == [-v for v in dual]
+            for i in range(n):
+                if i < lo:
+                    assert (low[i], high[i]) == (math.inf, -math.inf)
+                else:
+                    assert low[i] <= high[i]
+    return 200
+
+
+PROPERTY_SUITES = (
+    ("negation duality", negation_duality),
+    ("box/diamond duality", box_diamond_duality),
+    ("past-only purity", past_only_purity),
+    ("positive homogeneity", positive_homogeneity),
+    ("sign soundness", sign_soundness),
+    ("extrema conventions", extrema_conventions),
+)

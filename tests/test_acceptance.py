@@ -9,28 +9,17 @@ import math
 import random
 import resource
 import time
-import warnings
-from itertools import accumulate
 
-from mtlmon import (
-    Monitor,
-    Predicate,
-    StateSample,
-    boolean_eval,
-    compile_formula,
-    offline_robustness_series,
-)
+from mtlmon import Monitor, Predicate, StateSample, compile_formula, offline_robustness_series
 from mtlmon.cli import case_study_formula, case_study_predicates, gen_template, run_bench_sweep, run_case_study
 from mtlmon.formula import UNTIL
 from mtlmon.traceio import gen_case_study_trace
 
 from helpers import (
-    agreed_series,
-    column_trace,
+    PROPERTY_SUITES,
     contains_unbounded_since,
     perfect_series,
     random_core_text,
-    random_past_text,
     random_predicates,
     random_trace,
 )
@@ -163,126 +152,10 @@ def test_criterion_5_bounded_memory_over_10000_steps():
     )
 
 
-def _suite_negation_duality(rng):
-    for _ in range(200):
-        while True:
-            text = random_core_text(rng, max_depth=3)
-            plain = compile_formula(text)
-            if plain.horizon <= 20:
-                break
-        negated = compile_formula(f"not ({text})")
-        predicates = random_predicates(rng, plain.atom_names)
-        variables = sorted({p.variable for p in predicates.values()})
-        trace = random_trace(rng, variables, rng.randint(plain.horizon + 1, 25))
-        outs, _ = perfect_series(plain, predicates, trace)
-        neg, _ = perfect_series(negated, predicates, trace)
-        assert neg == [-v for v in outs]
-
-
-def _suite_box_diamond_duality(rng):
-    for _ in range(200):
-        body = random_core_text(rng, max_depth=2, max_bound=4)
-        lo = rng.randint(0, 4)
-        up = rng.randint(lo, 6)
-        always = compile_formula(f"always[{lo},{up}] ({body})")
-        dual = compile_formula(f"eventually[{lo},{up}] (not ({body}))")
-        predicates = random_predicates(rng, always.atom_names | dual.atom_names)
-        variables = sorted({p.variable for p in predicates.values()})
-        trace = random_trace(rng, variables, rng.randint(always.horizon + 1, 30))
-        outs, _ = perfect_series(always, predicates, trace)
-        dual_outs, _ = perfect_series(dual, predicates, trace)
-        assert outs == [-v for v in dual_outs]
-
-
-def _suite_past_only_purity(rng):
-    for _ in range(200):
-        formula = compile_formula(random_past_text(rng))
-        assert formula.horizon == 0
-        predicates = random_predicates(rng, formula.atom_names)
-        variables = sorted({p.variable for p in predicates.values()})
-        prefix = random_trace(rng, variables, rng.randint(1, 12))
-        runs = []
-        for seed in (1, 2):
-            suffix_rng = random.Random(seed)
-            mon = Monitor(formula, predicates)
-            runs.append([mon.step(s) for s in prefix.samples])
-            for k in range(4):
-                mon.step(StateSample({v: suffix_rng.uniform(-10, 10) for v in variables},
-                                     (len(prefix.samples) + k) * 0.1))
-        assert runs[0] == runs[1]
-
-
-def _suite_positive_homogeneity(rng):
-    for case in range(200):
-        factor = (0.5, 2.0, 10.0)[case % 3]
-        while True:
-            formula = compile_formula(random_core_text(rng, max_depth=3))
-            if formula.horizon <= 20:
-                break
-        predicates = random_predicates(rng, formula.atom_names)
-        variables = sorted({p.variable for p in predicates.values()})
-        trace = random_trace(rng, variables, rng.randint(formula.horizon + 1, 22))
-        boosted = {
-            name: Predicate(p.name, p.variable, p.lo, p.hi, p.gain * factor)
-            for name, p in predicates.items()
-        }
-        base, _ = perfect_series(formula, predicates, trace)
-        scaled_outs, _ = perfect_series(formula, boosted, trace)
-        assert scaled_outs == [factor * v for v in base]
-
-
-def _suite_sign_soundness(rng):
-    for _ in range(200):
-        while True:
-            formula = compile_formula(random_core_text(rng, max_depth=3, max_bound=6))
-            if formula.horizon <= 15:
-                break
-        predicates = random_predicates(rng, formula.atom_names)
-        variables = sorted({p.variable for p in predicates.values()})
-        trace = random_trace(rng, variables, rng.randint(1, 16))
-        series = offline_robustness_series(formula, predicates, trace)
-        for i, value in enumerate(series):
-            if value > 0:
-                assert boolean_eval(formula, predicates, trace, i) is True
-            elif value < 0:
-                assert boolean_eval(formula, predicates, trace, i) is False
-
-
-def _suite_extrema_conventions(rng):
-    """once and historically windows are the max and min of their values
-    over the extended reals, through Monitor.step and the oracle: n values
-    drawn from finite, +inf and -inf, a window [0, n-1] that ends up
-    holding all of them, and a window [1, n] that is empty at step 0,
-    where the max of nothing is -inf and the min of nothing is +inf."""
-    p = Predicate("p", "x", lo=0.0, gain=10.0)  # 10 * x; +-1e308 overflows to +-inf
-    assert (p.distance(1e308), p.distance(-1e308)) == (math.inf, -math.inf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the overflow to +-inf is silent on both sides
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            xs = [rng.choice((rng.uniform(-5, 5), 1e308, -1e308)) for _ in range(n)]
-            values = [p.distance(x) for x in xs]
-            trace = column_trace(x=xs)
-            for lo in (0, 1):
-                for op, join, empty in (("once", max, -math.inf), ("historically", min, math.inf)):
-                    formula = compile_formula(f"{op}[{lo},{lo + n - 1}] p")
-                    expect = [empty] * lo + list(accumulate(values, join))[: n - lo]
-                    assert agreed_series(formula, {"p": p}, trace) == expect
-
-
 def test_criterion_6_property_suites():
-    suites = (
-        ("negation duality", _suite_negation_duality),
-        ("box/diamond duality", _suite_box_diamond_duality),
-        ("past-only purity", _suite_past_only_purity),
-        ("positive homogeneity", _suite_positive_homogeneity),
-        ("sign soundness", _suite_sign_soundness),
-        ("extrema conventions", _suite_extrema_conventions),
-    )
-    for seed, (name, suite) in enumerate(suites, start=600):
-        suite(random.Random(seed))
-    report("criterion 6 (six property suites, 200 cases each)", True,
-           ", ".join(name for name, _ in suites))
+    cases = [suite(random.Random(seed)) for seed, (_, suite) in enumerate(PROPERTY_SUITES, start=600)]
+    report("criterion 6 (six property suites, 200 cases each)", min(cases) >= 200,
+           ", ".join(f"{name} {count}" for (name, _), count in zip(PROPERTY_SUITES, cases)))
 
 
 def test_criterion_7_case_study_scenarios():

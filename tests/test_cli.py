@@ -268,12 +268,6 @@ def test_gen_template_examples():
     assert compile_formula(gen_template("U", 2, 1000)).horizon == 1000
 
 
-def test_gen_template_all_divisors():
-    for kind in ("E", "U"):
-        for n in range(1, 10):
-            assert compile_formula(gen_template(kind, n, 2520)).horizon == 2520
-
-
 def test_gen_template_guards():
     with pytest.raises(ConfigError, match="divide"):
         gen_template("E", 3, 1000)

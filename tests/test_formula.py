@@ -161,12 +161,18 @@ UNBOUNDED = Interval(0, math.inf)
         ("until", (None, P), Interval(0, 1), None, "operands of 'until' must be SurfaceNodes, got (None, " + repr(P) + ")"),
         ("once", (P,), (0, 3), None, "interval of 'once' must be an Interval, got (0, 3)"),
         ("eventually", (P,), (0, 3), None, "interval of 'eventually' must be an Interval, got (0, 3)"),
+        ([], (), None, None, "op must be a str, got []"),
+        ({}, (), None, None, "op must be a str, got {}"),
+        ("not", 5, None, None, "children of 'not' must be a tuple, got 5"),
+        ("until", {P: 1, "x": 2}, Interval(0, 3), None, "children of 'until' must be a tuple, got {" + repr(P) + ": 1, 'x': 2}"),
+        ("not", [P], None, None, "children of 'not' must be a tuple, got [" + repr(P) + "]"),
     ],
     ids=[
         "unknown", "or-1", "not-2", "until-1", "atom-operand", "true-interval", "next-interval",
         "prev-interval", "and-interval", "until-bare", "once-bare", "eventually-inf", "until-inf",
         "always-inf", "atom-unnamed", "atom-int-name", "false-named", "not-named",
         "not-str-operand", "or-str-operand", "until-none-operand", "once-tuple-interval", "eventually-tuple-interval",
+        "list-op", "dict-op", "not-int-children", "until-dict-children", "not-list-children",
     ],
 )
 def test_surface_node_checks_itself_against_the_operator_table(op, children, interval, name, message):

@@ -14,7 +14,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition,
 from mtlmon import (
     Monitor,
     Predicate,
-    PredicateError,
     StateSample,
     compile_formula,
     load_trace,
@@ -31,6 +30,7 @@ from helpers import (
     BAD_VALUES,
     contains_unbounded_since,
     perfect_series,
+    random_case,
     random_core_text,
     random_past_text,
     random_predicates,
@@ -66,29 +66,6 @@ def test_init_eventually_dimensions():
     assert f.horizon == 1 and f.history == 1
     mon = Monitor(f, X_GE_0)
     assert mon.width == 3
-
-
-def test_init_rejects_unbound_atoms():
-    f = compile_formula("p and q and r")
-    with pytest.raises(PredicateError, match="unbound atoms: q, r"):
-        Monitor(f, X_GE_0)
-
-
-@pytest.mark.parametrize("formula", ["p", None, 1.0], ids=["text", "None", "float"])
-def test_init_refuses_a_formula_that_is_not_compiled(formula):
-    with pytest.raises(TypeError) as err:
-        Monitor(formula, X_GE_0)
-    assert str(err.value) == f"formula must be a compiled Formula, got {formula!r}"
-
-
-@pytest.mark.parametrize("bound", [1, "x >= 0", None], ids=["int", "text", "None"])
-def test_init_refuses_an_atom_bound_to_a_non_predicate(bound):
-    """The error names the atom, where a non-Predicate used to leak an
-    AttributeError on its missing `variable`."""
-    f = compile_formula("p or q")
-    with pytest.raises(PredicateError) as err:
-        Monitor(f, {**X_GE_0, "q": bound})
-    assert str(err.value) == f"atom 'q' is bound to {bound!r}, not a Predicate"
 
 
 def test_init_refuses_table_larger_than_memory():
@@ -481,26 +458,23 @@ def test_wide_until_step_holds_one_chunk_of_running_minima():
 
 
 def test_defined_cells_match_reference_per_subformula():
-    rng = random.Random(41)
-    checked = 0
-    for _ in range(40):
-        f = compile_formula(random_core_text(rng, max_depth=3, max_bound=5))
-        if f.horizon > 15:
-            continue
-        preds = random_predicates(rng, f.atom_names)
-        trace = random_trace(rng, [p.variable for p in preds.values()], rng.randint(f.horizon + 1, 18))
-        mon = Monitor(f, preds)
-        for i in range(len(trace.samples) - f.horizon):
-            mon.step(trace.samples[i], list(trace.samples[i + 1 : i + 1 + f.horizon]))
-            prefix = Trace(trace.samples[: i + f.horizon + 1], trace.delta_t)
-            for k in range(len(f.nodes)):
-                for j in range(-f.history, f.horizon + 1):
-                    got = mon.cell(k, j)
-                    if got is None:
-                        continue
-                    assert got == offline_robustness(f, preds, prefix, i + j, node=k)
-                    checked += 1
-    assert checked > 2000
+    # cross-checks intermediate storage, not just the root output
+    for seed in (41, 97):
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(40):
+            _, f, preds, trace = random_case(rng, max_horizon=15, max_len=18, max_bound=5)
+            mon = Monitor(f, preds)
+            for i in range(len(trace.samples) - f.horizon):
+                mon.step(trace.samples[i], list(trace.samples[i + 1 : i + 1 + f.horizon]))
+                prefix = Trace(trace.samples[: i + f.horizon + 1], trace.delta_t)
+                for k in range(len(f.nodes)):
+                    for j in range(-f.history, f.horizon + 1):
+                        got = mon.cell(k, j)
+                        if got is not None:
+                            assert got == offline_robustness(f, preds, prefix, i + j, node=k)
+                            checked += 1
+        assert checked > 2000, (seed, checked)
 
 
 @pytest.mark.parametrize(

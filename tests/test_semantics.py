@@ -303,8 +303,11 @@ def test_index_rule_mends_the_silent_and_leaking_cases():
     # a step before the trace used to read sample 0 as its future
     with pytest.raises(IndexError, match=r"step -1 outside \[0, 4\]"):
         predict(PredictorMode.PERFECT, trace, -1, 1)
-    with pytest.raises(IndexError, match=r"horizon -1 outside \[0, inf\]"):
+    with pytest.raises(IndexError, match=rf"horizon -1 outside \[0, {sys.maxsize}\]"):
         predict(PredictorMode.HOLD, trace, 0, -1)
+    # a horizon beyond sys.maxsize used to leak OverflowError from the held list
+    with pytest.raises(IndexError, match=rf"horizon {2**63} outside \[0, {sys.maxsize}\]"):
+        predict(PredictorMode.HOLD, trace, 0, 2**63)
     with pytest.raises(IndexError, match=r"step 5 outside \[0, 4\]"):
         predict(PredictorMode.HOLD, trace, 5, 1)
     f = compile_formula("p until[0,1] q")
