@@ -2,6 +2,7 @@
 test suite.  Each property suite is a function of a random.Random that
 returns its case count: test_properties runs each under a seed of its
 own, and criterion 6 runs all six (PROPERTY_SUITES) under seeds 600-605.
+REFUSALS is the one table of bad input that every evaluator refuses alike.
 """
 
 from __future__ import annotations
@@ -11,8 +12,19 @@ import random
 import warnings
 from dataclasses import replace
 from itertools import accumulate
+from types import SimpleNamespace
 
-from mtlmon import Monitor, Predicate, StateSample, Trace, boolean_eval, compile_formula, offline_robustness_series
+from mtlmon import (
+    Monitor,
+    Predicate,
+    PredicateError,
+    StateSample,
+    Trace,
+    boolean_eval,
+    compile_formula,
+    offline_robustness,
+    offline_robustness_series,
+)
 from mtlmon.formula import SINCE, Interval, SurfaceNode
 
 ATOMS = ("a", "b", "c")
@@ -365,3 +377,72 @@ PROPERTY_SUITES = (
     ("sign soundness", sign_soundness),
     ("extrema conventions", extrema_conventions),
 )
+
+
+PQ = {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)}
+_P_SINCE_Q = compile_formula("p since[0,2] q")
+_LATE_Q = compile_formula("p or once[5,5] q")  # reads q from step 5 on only
+_FIRST = StateSample({"x": 1.0, "y": 0.0}, 0.0)
+_SECOND = StateSample({"x": 2.0, "y": 1.0}, 0.1)
+
+# each bad formula, binding and sample, and the one exception and message
+# that Monitor, Monitor.step and the three oracle functions give it; a
+# test picks its rows by the prefix of their key
+REFUSALS = {
+    **{
+        f"formula-{key}": (f, PQ, _SECOND, TypeError, f"formula must be a compiled Formula, got {f!r}")
+        for key, f in (("text", "p"), ("None", None), ("float", 1.0))
+    },
+    **{
+        f"mapping-{key}": (
+            _P_SINCE_Q, preds, _SECOND, TypeError, f"predicates must be a mapping of atom name to Predicate, got {preds!r}"
+        )
+        for key, preds in (("None", None), ("list", list(PQ.items())))
+    },
+    "unbound-q-r": (compile_formula("p and q and r"), {"p": PQ["p"]}, _SECOND, PredicateError, "unbound atoms: q, r"),
+    "unbound-never-read": (_LATE_Q, {"p": PQ["p"]}, _SECOND, PredicateError, "unbound atoms: q"),
+    **{
+        f"predicate-{key}": (
+            _LATE_Q, {**PQ, "q": bound}, _SECOND, PredicateError, f"atom 'q' is bound to {bound!r}, not a Predicate"
+        )
+        for key, bound in (("int", 1), ("text", "junk"), ("None", None))
+    },
+    "sample-missing-variable": (
+        _P_SINCE_Q, PQ, StateSample({"y": 0.0}, 0.1), KeyError, "unknown variable 'x' in sample at t=0.1"
+    ),
+    **{
+        f"sample-value-{n}": (
+            _P_SINCE_Q, PQ, StateSample({"x": bad, "y": 0.0}, 0.1), ValueError,
+            f"value {bad!r} of variable 'x' in sample at t=0.1 is not a finite real number",
+        )
+        for n, bad in enumerate(BAD_VALUES)
+    },
+    "sample-values-None": (_P_SINCE_Q, PQ, StateSample(None, 0.1), TypeError, "sample values must be a mapping, got None"),
+    "non-sample": (
+        _P_SINCE_Q, PQ, SimpleNamespace(time=0.1), TypeError, "sample must be a StateSample, got namespace(time=0.1)"
+    ),
+}
+
+
+def _raised(call, *args):
+    """The type and message of the exception that call(*args) raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), exc.args[0]
+    return None
+
+
+def _monitored(formula, predicates, trace):
+    mon = Monitor(formula, predicates)
+    for sample in trace.samples:
+        mon.step(sample)
+
+
+def assert_refused_everywhere(key: str) -> None:
+    """REFUSALS[key] gets its one exception and message from Monitor and
+    Monitor.step and from each oracle function."""
+    formula, predicates, second, *expected = REFUSALS[key]
+    trace = Trace((_FIRST, second), 0.1)
+    for call, args in ((_monitored, ()), (offline_robustness, (1,)), (offline_robustness_series, ()), (boolean_eval, (1,))):
+        assert _raised(call, formula, predicates, trace, *args) == tuple(expected), (key, call.__name__)

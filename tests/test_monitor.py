@@ -28,6 +28,7 @@ from mtlmon.semantics import RowValues
 
 from helpers import (
     BAD_VALUES,
+    assert_refused_everywhere,
     contains_unbounded_since,
     perfect_series,
     random_case,
@@ -66,6 +67,22 @@ def test_init_eventually_dimensions():
     assert f.horizon == 1 and f.history == 1
     mon = Monitor(f, X_GE_0)
     assert mon.width == 3
+
+
+def test_init_rejects_unbound_atoms():
+    assert_refused_everywhere("unbound-q-r")
+
+
+@pytest.mark.parametrize("key", ["text", "None", "float"])
+def test_init_refuses_a_formula_that_is_not_compiled(key):
+    assert_refused_everywhere(f"formula-{key}")
+
+
+@pytest.mark.parametrize("key", ["int", "text", "None"])
+def test_init_refuses_an_atom_bound_to_a_non_predicate(key):
+    """The error names the atom, where a non-Predicate used to leak an
+    AttributeError on its missing `variable`."""
+    assert_refused_everywhere(f"predicate-{key}")
 
 
 def test_init_refuses_table_larger_than_memory():

@@ -1,6 +1,5 @@
 import math
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from mtlmon import (
     Monitor,
     Predicate,
-    PredicateError,
     StateSample,
     Trace,
     TraceError,
@@ -21,7 +19,9 @@ from mtlmon import (
 )
 
 from helpers import (
-    BAD_VALUES,
+    PQ,
+    REFUSALS,
+    assert_refused_everywhere,
     has_unbounded,
     mirror,
     random_core_text,
@@ -263,60 +263,17 @@ def test_trace_requires_period_for_several_samples():
     assert len(Trace(samples[:1])) == 1
 
 
-PQ = {"p": Predicate("p", "x", lo=0.0), "q": Predicate("q", "y", lo=0.0)}
-P_SINCE_Q = compile_formula("p since[0,2] q")
-LATE_Q = compile_formula("p or once[5,5] q")  # reads q from step 5 on only
-FIRST = StateSample({"x": 1.0, "y": 0.0}, 0.0)
-SECOND = StateSample({"x": 2.0, "y": 1.0}, 0.1)
-
-
-# each bad formula, binding and sample, and the one exception and message
-# that Monitor, Monitor.step and the three oracle functions give it
-REFUSALS = [
-    *((f, PQ, SECOND, TypeError, f"formula must be a compiled Formula, got {f!r}") for f in ("p", None, 1.0)),
-    *(
-        (P_SINCE_Q, preds, SECOND, TypeError, f"predicates must be a mapping of atom name to Predicate, got {preds!r}")
-        for preds in (None, list(PQ.items()))
-    ),
-    (compile_formula("p and q and r"), {"p": PQ["p"]}, SECOND, PredicateError, "unbound atoms: q, r"),
-    (LATE_Q, {"p": PQ["p"]}, SECOND, PredicateError, "unbound atoms: q"),
-    *(
-        (LATE_Q, {**PQ, "q": bound}, SECOND, PredicateError, f"atom 'q' is bound to {bound!r}, not a Predicate")
-        for bound in (1, "junk", None)
-    ),
-    (P_SINCE_Q, PQ, StateSample({"y": 0.0}, 0.1), KeyError, "unknown variable 'x' in sample at t=0.1"),
-    *(
-        (P_SINCE_Q, PQ, StateSample({"x": bad, "y": 0.0}, 0.1), ValueError,
-         f"value {bad!r} of variable 'x' in sample at t=0.1 is not a finite real number")
-        for bad in BAD_VALUES
-    ),
-    (P_SINCE_Q, PQ, StateSample(None, 0.1), TypeError, "sample values must be a mapping, got None"),
-    (P_SINCE_Q, PQ, SimpleNamespace(time=0.1), TypeError, "sample must be a StateSample, got namespace(time=0.1)"),
-]
-
-
-def raised(call, *args):
-    """The type and message of the exception that call(*args) raises, or None."""
-    try:
-        call(*args)
-    except Exception as exc:
-        return type(exc), exc.args[0]
-    return None
-
-
-def monitored(formula, predicates, trace):
-    mon = Monitor(formula, predicates)
-    for sample in trace.samples:
-        mon.step(sample)
-
-
 def test_oracle_refuses_what_the_monitor_refuses():
     """One binding rule and one sample rule: the oracle checks every
     binding up front, also that of an atom it never reads."""
-    for formula, predicates, second, *expected in REFUSALS:
-        trace = Trace((FIRST, second), 0.1)
-        for call, args in ((monitored, ()), (offline_robustness, (1,)), (offline_robustness_series, ()), (boolean_eval, (1,))):
-            assert raised(call, formula, predicates, trace, *args) == tuple(expected), call.__name__
+    for key in REFUSALS:
+        if key.startswith(("mapping-", "unbound-never-read", "sample-")):
+            assert_refused_everywhere(key)
+
+
+def test_oracle_refuses_a_non_sample_as_the_monitor_does():
+    # Trace reads only the time of its samples
+    assert_refused_everywhere("non-sample")
 
 
 def test_oracle_and_monitor_take_other_reals():
