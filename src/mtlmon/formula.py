@@ -46,16 +46,18 @@ since[0,0] q == q``: no compiled node has an interval with upper bound
 Double negations are dropped and structurally identical subterms are
 shared, so the compiled node array is a DAG of unique subformulas.
 
-Each core node is annotated with how many future samples (horizon) and
-past samples (history) its value at the current step depends on; the
-monitor sizes its storage from the root's annotations.
+A Formula derives, for each core node, how many future samples (horizon)
+and past samples (history) its value at the current step depends on, and
+the names of its atoms, from the nodes alone; it checks every node once
+when it is built, so a hand-built formula cannot claim a reach its nodes
+do not have.  The monitor sizes its storage from the root's bounds.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 TRUE = "true"
@@ -183,12 +185,13 @@ class SurfaceNode:
 
 @dataclass(frozen=True)
 class CoreNode:
-    """Compiled node: core operator plus horizon/history annotations.
+    """Compiled node: a core kind, its operands, interval and atom name.
 
     Operand indices point into the owning Formula's node array and are
     strictly greater than the node's own index (the root sits at 0), so a
     single descending sweep visits operands before the formulas that use
-    them.
+    them.  The node is checked, and its horizon and history derived, by
+    the Formula that holds it.
     """
 
     kind: str
@@ -196,26 +199,55 @@ class CoreNode:
     right: int = -1
     interval: Interval | None = None
     name: str | None = None
-    horizon: int = 0
-    history: int = 0
+
+
+# each core kind's operand count: left is used from one on, right at two
+_ARITY = {TRUE: 0, ATOM: 0, NOT: 1, OR: 2, UNTIL: 2, SINCE: 2}
 
 
 @dataclass(frozen=True)
 class Formula:
-    """Compiled specification: unique core nodes with the root at index 0."""
+    """Compiled specification: core nodes with the root at index 0.
+
+    nodes must be a non-empty tuple of CoreNode, or TypeError is raised.
+    Each node k must follow the rule that desugar's output follows, or
+    ValueError names nodes[k] and the field: kind is one of the six core
+    kinds; an operand index the kind uses (left for not, both for or,
+    until and since) is an int in (k, len(nodes)), one it does not use -1;
+    interval is, for until and since, an Interval with upper bound at
+    least 1, finite for until, and None for the other kinds; name is a str
+    for an atom and None otherwise.  Orphan and duplicate nodes are legal.
+
+    Derived when built, never passed in: bounds[k], node k's (horizon,
+    history), and atom_names, the names of every atom node, read or not.
+    """
 
     nodes: tuple[CoreNode, ...]
-    atom_names: frozenset[str]
+    bounds: tuple[tuple[int, int], ...] = field(init=False, compare=False)
+    atom_names: frozenset[str] = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nodes = self.nodes
+        if type(nodes) is not tuple or not nodes or any(type(node) is not CoreNode for node in nodes):
+            raise TypeError(f"nodes must be a non-empty tuple of CoreNode, got {nodes!r}")
+        bounds = {-1: (0, 0)}  # an operand a node does not use reaches nowhere
+        for k in range(len(nodes) - 1, -1, -1):  # operands before their users
+            node = nodes[k]
+            if fault := _fault(k, node, len(nodes)):
+                raise ValueError(f"nodes[{k}].{fault[0]} must be {fault[1]}, got {getattr(node, fault[0])!r}")
+            bounds[k] = _node_bounds(node.kind, node.interval, bounds[node.left], bounds[node.right])
+        object.__setattr__(self, "bounds", tuple(bounds[k] for k in range(len(nodes))))
+        object.__setattr__(self, "atom_names", frozenset(node.name for node in nodes if node.kind == ATOM))
 
     @property
     def horizon(self) -> int:
         """Future samples the root's value needs (prediction length)."""
-        return self.nodes[0].horizon
+        return self.bounds[0][0]
 
     @property
     def core_history(self) -> int:
         """Past samples the root's value needs, before the monitor widens it."""
-        return self.nodes[0].history
+        return self.bounds[0][1]
 
     @property
     def history(self) -> int:
@@ -225,7 +257,25 @@ class Formula:
         actual samples, and an unbounded since restarts its recurrence from
         there each step, so its running value never includes a prediction.
         """
-        return self.nodes[0].horizon + self.nodes[0].history
+        return self.horizon + self.core_history
+
+
+def _fault(k: int, node: CoreNode, count: int) -> tuple[str, str] | None:
+    """The first field of nodes[k], in a tuple of count nodes, that breaks
+    Formula's rule, and what it must be instead; None if none does."""
+    kind, iv = node.kind, node.interval
+    if type(kind) is not str or kind not in _ARITY:
+        return "kind", f"one of {', '.join(_ARITY)}"
+    for name, used in (("left", _ARITY[kind] >= 1), ("right", _ARITY[kind] == 2)):
+        m = getattr(node, name)
+        if type(m) is not int or not (k < m < count if used else m == -1):
+            return name, f"an int in ({k}, {count}) for {kind!r}" if used else f"-1 for {kind!r}"
+    if kind not in (UNTIL, SINCE) and iv is not None:
+        return "interval", f"None for {kind!r}"
+    if kind in (UNTIL, SINCE) and (type(iv) is not Interval or iv.upper < 1 or (kind == UNTIL and iv.upper == math.inf)):
+        return "interval", f"an Interval with {'finite ' if kind == UNTIL else ''}upper bound at least 1 for {kind!r}"
+    if type(node.name) is not _NAME_TYPE[kind]:
+        return "name", f"{'a str' if kind == ATOM else 'None'} for {kind!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -397,32 +447,30 @@ def _fmt(node: SurfaceNode, need: int) -> str:
 # Compilation to the core
 
 def _node_bounds(kind, interval, left, right) -> tuple[int, int]:
-    """Horizon/history of a node from its operands' annotations.
+    """Horizon/history of a node from its operands' (horizon, history)
+    pairs, (0, 0) for an operand the kind does not use.
 
     An until's value at step i needs its trigger operand up to i+upper and
     its left operand up to i+upper-1.  Mirrored for a bounded since, which
-    looks back `upper` samples.  A [0,0] window compiles to its trigger, so
-    upper >= 1 here and neither bound is negative.  An unbounded since is
-    evaluated by a running recurrence, so it only looks back far enough to
-    anchor the recurrence: `lower` samples for the trigger and, because the
-    recurrence also consumes the left operand at the current step,
-    max(lower,1)-1 for the left operand.
+    looks back `upper` samples.  Formula's rule puts upper >= 1 here, so
+    neither bound is negative.  An unbounded since is evaluated by a
+    running recurrence, so it only looks back far enough to anchor the
+    recurrence: `lower` samples for the trigger and, because the recurrence
+    also consumes the left operand at the current step, max(lower,1)-1 for
+    the left operand.  Every other kind reaches as far as its operands.
     """
-    if kind in (TRUE, ATOM):
-        return 0, 0
-    if kind == NOT:
-        return left.horizon, left.history
-    if kind == OR:
-        return max(left.horizon, right.horizon), max(left.history, right.history)
+    (left_horizon, left_history), (right_horizon, right_history) = left, right
+    if kind not in (UNTIL, SINCE):
+        return max(left_horizon, right_horizon), max(left_history, right_history)
     lo, up = interval.lower, interval.upper
     if kind == UNTIL:
-        horizon = max(left.horizon + int(up) - 1, right.horizon + int(up))
-        return horizon, max(left.history, right.history)
-    horizon = max(left.horizon, right.horizon)
+        horizon = max(left_horizon + int(up) - 1, right_horizon + int(up))
+        return horizon, max(left_history, right_history)
+    horizon = max(left_horizon, right_horizon)
     if up == math.inf:
-        history = max(left.history + max(lo, 1) - 1, right.history + lo)
+        history = max(left_history + max(lo, 1) - 1, right_history + lo)
     else:
-        history = max(left.history + int(up) - 1, right.history + int(up))
+        history = max(left_history + int(up) - 1, right_history + int(up))
     return horizon, history
 
 
@@ -438,12 +486,7 @@ class _CoreBuilder:
         idx = self.memo.get(key)
         if idx is not None:
             return idx
-        lnode = self.entries[left] if left >= 0 else None
-        rnode = self.entries[right] if right >= 0 else None
-        horizon, history = _node_bounds(kind, interval, lnode, rnode)
-        self.entries.append(
-            CoreNode(kind, left, right, interval, name, horizon, history)
-        )
+        self.entries.append(CoreNode(kind, left, right, interval, name))
         idx = len(self.entries) - 1
         self.memo[key] = idx
         return idx
@@ -495,7 +538,7 @@ class _CoreBuilder:
 
 
 def desugar(tree: SurfaceNode) -> Formula:
-    """Compile a surface tree into an annotated core Formula.  A tree that
+    """Compile a surface tree into a core Formula.  A tree that
     is not a SurfaceNode raises TypeError."""
     if not isinstance(tree, SurfaceNode):
         raise TypeError(f"tree must be a SurfaceNode, got {tree!r}")
@@ -518,7 +561,7 @@ def desugar(tree: SurfaceNode) -> Formula:
             kept.append(node)
             live.update((node.left, node.right))
     nodes = tuple(replace(node, left=renumber[node.left], right=renumber[node.right]) for node in kept)
-    return Formula(nodes, frozenset(node.name for node in nodes if node.kind == ATOM))
+    return Formula(nodes)
 
 
 def compile_formula(text: str) -> Formula:

@@ -202,13 +202,13 @@ class Monitor:
         self.table = np.full(shape, NEG_INF)
         self.i = 0
         self._values: dict[str, Sequence[float]] = {}
-        self._rows = [self._plan(node, predicates) for node in formula.nodes]
+        self._rows = [self._plan(node, *reach, predicates) for node, reach in zip(formula.nodes, formula.bounds)]
         self._variables = sorted({r.pred.variable for r in self._rows if r.kind == ATOM})
 
-    def _plan(self, node, predicates) -> _Row:
+    def _plan(self, node, horizon, history, predicates) -> _Row:
         lo = node.interval.lower if node.interval is not None else 0
         up = node.interval.upper if node.interval is not None else 0
-        start = node.history - self.history
+        start = history - self.history
         unbounded = node.kind == SINCE and up == math.inf
         if unbounded:
             up, cr_from = lo, start  # the recurrence is inherently sequential
@@ -217,7 +217,7 @@ class Monitor:
         else:
             cr_from = self.horizon  # numpy from two cells on
         pred = predicates[node.name] if node.kind == ATOM else None
-        return _Row(node.kind, node.left, node.right, lo, int(up), node.horizon, start, pred, unbounded, cr_from)
+        return _Row(node.kind, node.left, node.right, lo, int(up), horizon, start, pred, unbounded, cr_from)
 
     def step(self, sample: StateSample, predictions: Sequence[StateSample] = ()) -> Rho:
         """Consume the current sample plus horizon predicted samples and

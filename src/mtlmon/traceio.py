@@ -141,7 +141,8 @@ def predict(mode: PredictorMode | str, trace: Trace, i: int, horizon: int) -> li
     a PredictorMode or its value, as for check_predictor, and i and
     horizon follow semantics.checked_index: 0 <= i < len(trace) and
     0 <= horizon <= sys.maxsize, the bound on any list length.
-    A trace that is not a Trace raises TypeError."""
+    A trace that is not a Trace raises TypeError, and `hold` copies whose
+    list, 8 bytes a slot, is larger than physical memory MemoryError."""
     if not isinstance(trace, Trace):
         raise TypeError(f"trace must be a Trace, got {trace!r}")
     i = checked_index(i, "step", 0, len(trace) - 1)
@@ -149,6 +150,8 @@ def predict(mode: PredictorMode | str, trace: Trace, i: int, horizon: int) -> li
     if mode is PredictorMode.NONE:
         return []
     if mode is PredictorMode.HOLD:
+        if (size := 8 * horizon) > (ram := semantics.physical_memory()):  # one list slot per copy
+            raise MemoryError(f"{horizon} held samples need {size} bytes, more than the {ram} bytes of physical memory")
         return [trace.samples[i]] * horizon
     if i + horizon >= len(trace.samples):
         raise TraceExhausted(f"trace exhausted: step {i} needs {horizon} future samples")

@@ -303,9 +303,8 @@ def test_time_mirror_swaps_until_and_since_and_horizon_and_history():
     for tree in trees:
         f = desugar(tree)
         mirrored = desugar(mirror(tree))
-        assert mirrored.nodes == tuple(
-            replace(n, kind=swap.get(n.kind, n.kind), horizon=n.history, history=n.horizon) for n in f.nodes
-        )
+        assert mirrored.nodes == tuple(replace(n, kind=swap.get(n.kind, n.kind)) for n in f.nodes)
+        assert mirrored.bounds == tuple((history, horizon) for horizon, history in f.bounds)
         assert mirrored.atom_names == f.atom_names
 
 
@@ -326,4 +325,4 @@ def test_bounds_agree_between_surface_and_core():
         # no [0,0] window survives, so no node needs more history than the
         # root and every monitor row is written each step
         assert all(n.interval is None or n.interval.upper >= 1 for n in f.nodes)
-        assert all(n.history <= f.core_history for n in f.nodes)
+        assert all(history <= f.core_history for _, history in f.bounds)

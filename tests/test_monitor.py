@@ -170,7 +170,7 @@ def test_cr_unbounded_since_reads_table_index_0_at_its_leftmost_column():
     since_row = next(k for k, n in enumerate(f.nodes) if n.kind == SINCE)
     mon.step(x_sample(3.0))
     mon.step(x_sample(5.0))
-    start = mon.formula.nodes[since_row].history - mon.history
+    start = mon.formula.bounds[since_row][1] - mon.history
     assert start == -mon.history
     # the recurrence at the leftmost maintained column reads the column
     # left of the window
@@ -506,18 +506,19 @@ def test_zero_window_compiles_to_its_trigger(text, nodes):
     # a [0,0] window reads only its trigger at the current step
     f = compile_formula(text)
     assert f == compile_formula(nodes[-1])
-    # the oracle on a formula that keeps the [0,0] node agrees (it reads
-    # no horizon or history annotation, so none is given)
-    kept = Formula(
-        tuple(CoreNode(ATOM, name=n) if isinstance(n, str) else CoreNode(*n) for n in nodes),
-        frozenset(n for n in nodes if isinstance(n, str)),
-    )
+    # a formula that keeps the [0,0] node is refused: the compiler never
+    # emits one, and the monitor's windowed kernels need upper >= 1
+    with pytest.raises(ValueError, match=r"^nodes\[0\]\.interval must be an Interval with (finite )?upper bound at least 1 for"):
+        Formula(tuple(CoreNode(ATOM, name=n) if isinstance(n, str) else CoreNode(*n) for n in nodes))
+    # the monitor on the compiled formula agrees with the oracle on the
+    # trigger alone, over the atoms the written formula binds
+    trigger = compile_formula(nodes[-1])
     rng = random.Random(67)
     for _ in range(5):
-        preds = random_predicates(rng, kept.atom_names)
+        preds = random_predicates(rng, sorted({n for n in nodes if isinstance(n, str)}))
         trace = random_trace(rng, sorted({p.variable for p in preds.values()}), 40)
         mon = Monitor(f, preds)
-        assert [mon.step(sample) for sample in trace.samples] == offline_robustness_series(kept, preds, trace)
+        assert [mon.step(sample) for sample in trace.samples] == offline_robustness_series(trigger, preds, trace)
 
 
 def test_single_sample_stream():
@@ -736,8 +737,8 @@ def test_cells_left_of_row_horizon_are_shifted_unchanged():
         for i, sample in enumerate(trace.samples):
             prev = mon.table.copy()
             mon.step(sample, [sample] * f.horizon)
-            for k, node in enumerate(f.nodes):
-                for j in range(max(node.history - h, -i), -node.horizon):
+            for k, (horizon, history) in enumerate(f.bounds):
+                for j in range(max(history - h, -i), -horizon):
                     # final cell: carried over from the previous step and
                     # equal to a recomputation from the operand rows
                     assert mon.table[k, j + h + 1] == prev[k, j + h + 2] == mon.cr(k, j)

@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -212,6 +213,23 @@ def test_every_source_file_parses_as_python_3_10():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
+def test_each_mutant_of_the_catalogue_finds_its_old_text_once():
+    """tests/mutants.py plants each fault by replacing one exact text: that
+    text must occur once in its file, and each killer must name a test
+    function that exists, so a change that moves either updates the
+    catalogue on purpose."""
+    import mutants
+
+    repo = Path(__file__).resolve().parent.parent
+    assert len(mutants.MUTANTS) >= 8 and len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for mutant in mutants.MUTANTS:
+        assert (repo / mutant.file).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.name
+        assert mutant.old != mutant.new and mutant.killers, mutant.name
+        for killer in mutant.killers:
+            file, test = killer.split("::")
+            assert re.search(rf"^def {re.escape(test.split('[')[0])}\(", (repo / file).read_text(encoding="utf-8"), re.M), killer
+
+
 def test_trace_and_trace_error_are_defined_once(tmp_path):
     assert Trace.__module__ == TraceError.__module__ == "mtlmon.semantics"
     assert mtlmon.semantics.Trace is mtlmon.oracle.Trace is Trace
@@ -382,6 +400,19 @@ def test_predict_hold_repeats_current_sample():
     trace = fixed_trace([3.0, 4.0, 5.0])
     ahead = predict(PredictorMode.HOLD, trace, 0, 2)
     assert [s.values["x"] for s in ahead] == [3.0, 3.0]
+
+
+def test_predict_hold_refuses_copies_larger_than_physical_memory(monkeypatch):
+    """The held list costs 8 bytes a slot and is refused, as the monitor's
+    table is, before it is allocated: on a machine with 64 KiB, 8192
+    copies fit and 8193 do not; the largest horizon is refused on any."""
+    trace = fixed_trace([3.0, 4.0])
+    with pytest.raises(MemoryError, match=f"^{sys.maxsize} held samples need {8 * sys.maxsize} bytes, more than the"):
+        predict("hold", trace, 0, sys.maxsize)
+    monkeypatch.setattr("mtlmon.semantics.physical_memory", lambda: 1 << 16)
+    assert len(predict("hold", trace, 1, 8192)) == 8192
+    with pytest.raises(MemoryError, match="^8193 held samples need 65544 bytes, more than the 65536 bytes of physical memory$"):
+        predict("hold", trace, 1, 8193)
 
 
 def test_predict_perfect_looks_ahead():
